@@ -1,5 +1,6 @@
 //! Criterion microbenches for the exchange kernels: Match, translate,
-//! script generation, script execution, chase and egd application.
+//! script generation, script execution, chase, egd application and the
+//! keyed storage insert that enforces egds in place.
 
 use sedex_bench::harness::{black_box, criterion_group, criterion_main, Criterion};
 use sedex_core::scriptgen::generate_script;
@@ -9,7 +10,7 @@ use sedex_mapping::chase::{chase, NullFactory};
 use sedex_mapping::egd::apply_egds;
 use sedex_mapping::{generate_tgds, Egd};
 use sedex_scenarios::university;
-use sedex_storage::Instance;
+use sedex_storage::{ConflictPolicy, Instance, RelationInstance, RelationSchema, Tuple, Value};
 use sedex_treerep::{tuple_tree, SchemaForest, TreeConfig};
 
 fn bench_match(c: &mut Criterion) {
@@ -71,10 +72,44 @@ fn bench_chase_and_egds(c: &mut Criterion) {
     });
 }
 
+/// One merging insert into a keyed relation of 1k and of 10k rows: the
+/// per-merge cost should not grow with the relation. Each insert carries a
+/// labeled null smaller than any stored one, so unification keeps the new
+/// label and every iteration really replaces the row.
+fn bench_insert_merge_keyed(c: &mut Criterion) {
+    let mut g = c.benchmark_group("insert_merge_keyed");
+    for n in [1_000i64, 10_000] {
+        let mut rel = RelationInstance::new(
+            RelationSchema::with_any_columns("R", &["k", "a", "b"])
+                .primary_key(&["k"])
+                .unwrap(),
+        );
+        for k in 0..n {
+            let t = Tuple::new(vec![
+                Value::int(k),
+                Value::Labeled(u64::MAX),
+                Value::text("v"),
+            ]);
+            rel.insert(t, ConflictPolicy::Merge).unwrap();
+        }
+        let mut label = u64::MAX;
+        g.bench_function(format!("rows_{n}"), |b| {
+            b.iter(|| {
+                label -= 1;
+                let k = (label % n as u64) as i64;
+                let t = Tuple::new(vec![Value::int(k), Value::Labeled(label), Value::Null]);
+                rel.insert(black_box(t), ConflictPolicy::Merge).unwrap()
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_match,
     bench_translate_and_script,
-    bench_chase_and_egds
+    bench_chase_and_egds,
+    bench_insert_merge_keyed
 );
 criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! Relation instances: tuple sets with hash indexes on keys.
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
@@ -15,10 +15,43 @@ use crate::Result;
 /// Identifier of a row inside one relation instance.
 pub type RowId = u32;
 
-fn hash_values(vals: &[Value]) -> u64 {
+/// Hash a length prefix, then each value. Every index insert, removal and
+/// probe goes through this one function — whole tuples for `row_set`, key
+/// columns read in place for the key indexes, a caller's key slice for
+/// [`RelationInstance::lookup_pk_id`] — so probes and indexes agree by
+/// construction.
+fn hash_values<'a>(vals: impl ExactSizeIterator<Item = &'a Value>) -> u64 {
     let mut h = DefaultHasher::new();
-    vals.hash(&mut h);
+    h.write_usize(vals.len());
+    for v in vals {
+        v.hash(&mut h);
+    }
     h.finish()
+}
+
+/// The key columns `cols` of `t`, in key order, without copying them.
+fn key_of<'a>(t: &'a Tuple, cols: &'a [usize]) -> impl ExactSizeIterator<Item = &'a Value> + Clone {
+    cols.iter().map(move |&c| &t.values()[c])
+}
+
+/// Add `id` to (or remove it from) the bucket under `h`. Buckets hold ids
+/// in ascending order — the order a full rebuild produces — so a lookup
+/// finds the same row however the index got there; emptied buckets are
+/// dropped.
+fn update_bucket(index: &mut HashMap<u64, Vec<RowId>>, h: u64, id: RowId, add: bool) {
+    if add {
+        let bucket = index.entry(h).or_default();
+        if let Err(pos) = bucket.binary_search(&id) {
+            bucket.insert(pos, id);
+        }
+    } else if let Entry::Occupied(mut e) = index.entry(h) {
+        if let Ok(pos) = e.get().binary_search(&id) {
+            e.get_mut().remove(pos);
+        }
+        if e.get().is_empty() {
+            e.remove();
+        }
+    }
 }
 
 /// An instance of one relation: a *set* of tuples (duplicates collapse, as in
@@ -106,8 +139,7 @@ impl RelationInstance {
                 got: tuple.arity(),
             });
         }
-        for (i, (v, col)) in tuple.values().iter().zip(&self.schema.columns).enumerate() {
-            let _ = i;
+        for (v, col) in tuple.values().iter().zip(&self.schema.columns) {
             if v.is_null() && !col.nullable {
                 return Err(StorageError::NullViolation {
                     relation: self.schema.name.clone(),
@@ -127,7 +159,7 @@ impl RelationInstance {
     }
 
     fn find_exact(&self, tuple: &Tuple) -> Option<RowId> {
-        let h = hash_values(tuple.values());
+        let h = hash_values(tuple.values().iter());
         self.row_set
             .get(&h)?
             .iter()
@@ -135,25 +167,28 @@ impl RelationInstance {
             .find(|&id| self.rows.get(id as usize) == Some(tuple))
     }
 
-    /// Find a row whose projection on `key_cols` equals the projection of
-    /// `key_vals` (which must already be the projected values). Keys
-    /// containing nulls never match.
-    fn find_by_key(
+    /// Find the lowest row id whose projection on `key_cols` equals `key`
+    /// (the key values, in key order). Keys containing nulls never match.
+    fn find_by_key<'a>(
         index: &HashMap<u64, Vec<RowId>>,
         rows: &Rows,
         key_cols: &[usize],
-        key_vals: &[Value],
+        key: impl ExactSizeIterator<Item = &'a Value> + Clone,
     ) -> Option<RowId> {
-        if key_vals.iter().any(|v| v.is_any_null()) {
+        if key.clone().any(Value::is_any_null) {
             return None;
         }
-        let h = hash_values(key_vals);
-        index.get(&h)?.iter().copied().find(|&id| {
-            key_cols
-                .iter()
-                .zip(key_vals)
-                .all(|(&c, v)| &rows[id as usize].values()[c] == v)
-        })
+        index
+            .get(&hash_values(key.clone()))?
+            .iter()
+            .copied()
+            .find(|&id| {
+                let vals = rows[id as usize].values();
+                key_cols
+                    .iter()
+                    .zip(key.clone())
+                    .all(|(&c, v)| &vals[c] == v)
+            })
     }
 
     /// Look up a row by its full primary-key value.
@@ -171,7 +206,7 @@ impl RelationInstance {
             &self.pk_index,
             &self.rows,
             &self.schema.primary_key,
-            key_vals,
+            key_vals.iter(),
         )
     }
 
@@ -201,20 +236,18 @@ impl RelationInstance {
             .collect()
     }
 
-    fn index_row(&mut self, id: RowId) {
+    /// Add row `id` to (`add`) or remove it from every index, under the
+    /// hashes of its current values. Keys containing nulls are not indexed.
+    fn update_indexes(&mut self, id: RowId, add: bool) {
         let t = &self.rows[id as usize];
-        self.row_set
-            .entry(hash_values(t.values()))
-            .or_default()
-            .push(id);
-        if !self.schema.primary_key.is_empty() && !t.key_has_null(&self.schema.primary_key) {
-            let key = t.project(&self.schema.primary_key);
-            self.pk_index.entry(hash_values(&key)).or_default().push(id);
+        update_bucket(&mut self.row_set, hash_values(t.values().iter()), id, add);
+        let pk = &self.schema.primary_key;
+        if !pk.is_empty() && !t.key_has_null(pk) {
+            update_bucket(&mut self.pk_index, hash_values(key_of(t, pk)), id, add);
         }
         for (u, idxmap) in self.schema.unique.iter().zip(&mut self.unique_indexes) {
             if !t.key_has_null(u) {
-                let key = t.project(u);
-                idxmap.entry(hash_values(&key)).or_default().push(id);
+                update_bucket(idxmap, hash_values(key_of(t, u)), id, add);
             }
         }
     }
@@ -238,25 +271,21 @@ impl RelationInstance {
         }
         if policy != ConflictPolicy::Allow {
             // Gather key conflicts: PK first, then unique constraints.
-            let mut conflict: Option<RowId> = None;
-            if !self.schema.primary_key.is_empty() && !tuple.key_has_null(&self.schema.primary_key)
-            {
-                let key = tuple.project(&self.schema.primary_key);
-                conflict =
-                    Self::find_by_key(&self.pk_index, &self.rows, &self.schema.primary_key, &key);
+            let pk = &self.schema.primary_key;
+            let conflict = if pk.is_empty() {
+                None
+            } else {
+                Self::find_by_key(&self.pk_index, &self.rows, pk, key_of(&tuple, pk))
             }
-            if conflict.is_none() {
-                for (u, idxmap) in self.schema.unique.iter().zip(&self.unique_indexes) {
-                    if tuple.key_has_null(u) {
-                        continue;
-                    }
-                    let key = tuple.project(u);
-                    if let Some(id) = Self::find_by_key(idxmap, &self.rows, u, &key) {
-                        conflict = Some(id);
-                        break;
-                    }
-                }
-            }
+            .or_else(|| {
+                self.schema
+                    .unique
+                    .iter()
+                    .zip(&self.unique_indexes)
+                    .find_map(|(u, idxmap)| {
+                        Self::find_by_key(idxmap, &self.rows, u, key_of(&tuple, u))
+                    })
+            });
             if let Some(id) = conflict {
                 return match policy {
                     ConflictPolicy::Reject => Err(StorageError::KeyViolation {
@@ -276,7 +305,7 @@ impl RelationInstance {
         }
         let id = self.rows.len() as RowId;
         self.rows.push(tuple);
-        self.index_row(id);
+        self.update_indexes(id, true);
         Ok(InsertOutcome::Inserted(id))
     }
 
@@ -304,11 +333,14 @@ impl RelationInstance {
         Ok(InsertOutcome::Merged(id))
     }
 
-    /// Replace a row in place, rebuilding the indexes for that row. When a
-    /// snapshot shares the row's chunk, only that one chunk is copied.
+    /// Replace a row in place: un-index the old tuple, store the new one and
+    /// index it under the same id — no other row is touched, so a merge
+    /// costs the same in a relation of any size. When a snapshot shares the
+    /// row's chunk, only that one chunk is copied.
     pub fn replace_row(&mut self, id: RowId, tuple: Tuple) {
+        self.update_indexes(id, false);
         self.rows.set(id as usize, tuple);
-        self.rebuild_indexes();
+        self.update_indexes(id, true);
     }
 
     /// Replace the whole row set (collapsing exact duplicates) and rebuild
@@ -320,7 +352,9 @@ impl RelationInstance {
     }
 
     /// Remove the rows at the given ids (ids refer to the pre-removal
-    /// numbering) and rebuild indexes. Used by core minimisation.
+    /// numbering) and rebuild indexes. Used by core minimisation. The
+    /// rebuild is wholesale because removal renumbers every later row, so
+    /// every bucket holding one of them changes anyway.
     pub fn remove_rows(&mut self, ids: &[RowId]) {
         if ids.is_empty() {
             return;
@@ -372,11 +406,13 @@ impl RelationInstance {
         changed
     }
 
+    /// Collapse exact duplicates and rebuild the indexes wholesale: like
+    /// [`RelationInstance::remove_rows`], dropping rows renumbers the rest.
     fn dedup_rows(&mut self) {
         let mut seen: HashMap<u64, Vec<Tuple>> = HashMap::new();
         let mut keep = Vec::with_capacity(self.rows.len());
         for t in std::mem::take(&mut self.rows).into_vec() {
-            let h = hash_values(t.values());
+            let h = hash_values(t.values().iter());
             let bucket = seen.entry(h).or_default();
             if !bucket.iter().any(|u| u == &t) {
                 bucket.push(t.clone());
@@ -394,7 +430,7 @@ impl RelationInstance {
             m.clear();
         }
         for id in 0..self.rows.len() as RowId {
-            self.index_row(id);
+            self.update_indexes(id, true);
         }
     }
 
@@ -496,7 +532,6 @@ mod tests {
 
     #[test]
     fn null_keys_do_not_conflict() {
-        let mut r = keyed_rel();
         // PK column is non-nullable after primary_key(); use a keyless unique instead.
         let mut r2 = RelationInstance::new(
             RelationSchema::with_any_columns("S", &["u", "v"])
@@ -508,7 +543,6 @@ mod tests {
         r2.insert(tuple![Value::Null, "b"], ConflictPolicy::Merge)
             .unwrap();
         assert_eq!(r2.len(), 2);
-        let _ = &mut r;
     }
 
     #[test]
@@ -590,6 +624,73 @@ mod tests {
             StorageError::NullViolation { .. }
         ));
         r.insert(tuple![1i64, "ok"], ConflictPolicy::Allow).unwrap();
+    }
+
+    /// The incrementally maintained indexes equal a clone's after a full
+    /// rebuild — same buckets, same (ascending) id order, no empty buckets.
+    fn assert_indexes_match_rebuild(r: &RelationInstance, ctx: &str) {
+        let mut fresh = r.clone();
+        fresh.rebuild_indexes();
+        assert_eq!(r.row_set, fresh.row_set, "row_set, {ctx}");
+        assert_eq!(r.pk_index, fresh.pk_index, "pk_index, {ctx}");
+        assert_eq!(r.unique_indexes, fresh.unique_indexes, "unique, {ctx}");
+        let mut buckets = r.row_set.values().chain(r.pk_index.values());
+        assert!(buckets.all(|b| !b.is_empty()), "empty bucket, {ctx}");
+        let mut buckets = r.unique_indexes.iter().flat_map(|m| m.values());
+        assert!(buckets.all(|b| !b.is_empty()), "empty bucket, {ctx}");
+    }
+
+    #[test]
+    fn incremental_indexes_match_a_full_rebuild() {
+        // SplitMix64: a seeded stream over a narrow domain, so keys collide.
+        fn next(state: &mut u64) -> u64 {
+            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        for seed in 0..64u64 {
+            let mut rng = seed;
+            let mut r = RelationInstance::new(
+                RelationSchema::with_any_columns("R", &["id", "u", "a", "b"])
+                    .primary_key(&["id"])
+                    .unwrap()
+                    .unique_on(&["u"])
+                    .unwrap(),
+            );
+            for step in 0..80 {
+                let val = |x: u64| match x {
+                    0 => Value::Null,
+                    1 => Value::Labeled(1),
+                    x => Value::int(x as i64),
+                };
+                let t = Tuple::new(vec![
+                    Value::int((next(&mut rng) % 6) as i64),
+                    val(next(&mut rng) % 6),
+                    val(next(&mut rng) % 4),
+                    val(next(&mut rng) % 4),
+                ]);
+                match next(&mut rng) % 4 {
+                    // Egd failures leave the relation unchanged.
+                    0 => {
+                        let _ = r.insert(t, ConflictPolicy::Merge);
+                    }
+                    1 => {
+                        r.insert(t, ConflictPolicy::Allow).unwrap();
+                    }
+                    2 => {
+                        r.insert(t, ConflictPolicy::Skip).unwrap();
+                    }
+                    _ if !r.is_empty() => {
+                        let id = (next(&mut rng) % r.len() as u64) as RowId;
+                        r.replace_row(id, t);
+                    }
+                    _ => {}
+                }
+                assert_indexes_match_rebuild(&r, &format!("seed {seed} step {step}"));
+            }
+        }
     }
 
     #[test]
