@@ -1,6 +1,9 @@
-//! Criterion microbenches for the exchange kernels: Match, translate,
-//! script generation, script execution, chase, egd application and the
-//! keyed storage insert that enforces egds in place.
+//! Criterion microbenches for the exchange kernels: Match (on the 3-tree
+//! university forest and on the 70-tree STB forest), the matcher build,
+//! translate, script generation, script execution, chase, egd application
+//! and the keyed storage insert that enforces egds in place.
+
+use std::collections::HashSet;
 
 use sedex_bench::harness::{black_box, criterion_group, criterion_main, Criterion};
 use sedex_core::scriptgen::generate_script;
@@ -9,9 +12,10 @@ use sedex_core::{run_script, Matcher};
 use sedex_mapping::chase::{chase, NullFactory};
 use sedex_mapping::egd::apply_egds;
 use sedex_mapping::{generate_tgds, Egd};
-use sedex_scenarios::university;
+use sedex_scenarios::ibench::{stb, IbenchConfig};
+use sedex_scenarios::{university, GenRule, Scenario};
 use sedex_storage::{ConflictPolicy, Instance, RelationInstance, RelationSchema, Tuple, Value};
-use sedex_treerep::{tuple_tree, SchemaForest, TreeConfig};
+use sedex_treerep::{tuple_shape_key, tuple_tree, SchemaForest, TreeConfig};
 
 fn bench_match(c: &mut Criterion) {
     let s = university::scenario();
@@ -22,6 +26,57 @@ fn bench_match(c: &mut Criterion) {
     let tt = tuple_tree(&inst, "Registration", 0, &cfg).unwrap();
     c.bench_function("match_registration_tuple", |b| {
         b.iter(|| matcher.best_match(black_box(&tt), &s.sigma).unwrap())
+    });
+}
+
+/// iBench STB with every nullable non-key source column null half the
+/// time: 70 target trees, and one relation yields many tuple-tree shapes.
+fn stb_with_nulls() -> Scenario {
+    let mut sc = stb(&IbenchConfig::default());
+    for rel in sc.source.relations() {
+        for (j, col) in rel.columns.iter().enumerate() {
+            if col.nullable && !rel.primary_key.contains(&j) {
+                sc.rules.push(GenRule::NullRate {
+                    relation: rel.name.clone(),
+                    column: col.name.clone(),
+                    rate: 0.5,
+                });
+            }
+        }
+    }
+    sc
+}
+
+/// The miss path's `Match` against the 70-tree STB forest, one call per
+/// iteration, cycling through the distinct tuple-tree shapes of one data
+/// set of 3 tuples per relation; and the matcher build over that forest.
+fn bench_match_stb(c: &mut Criterion) {
+    let sc = stb_with_nulls();
+    let cfg = TreeConfig::default();
+    let forest = SchemaForest::new(&sc.target, &cfg).unwrap();
+    let inst = sc.populate(3, 3).unwrap();
+    let mut seen = HashSet::new();
+    let mut shapes = Vec::new();
+    for rel in sc.source.relations() {
+        for row in 0..inst.relation(&rel.name).map_or(0, |r| r.len()) {
+            let tt = tuple_tree(&inst, &rel.name, row as _, &cfg).unwrap();
+            if seen.insert(tuple_shape_key(&tt)) {
+                shapes.push(tt);
+            }
+        }
+    }
+    let matcher = Matcher::new(&forest, 2, 1);
+    let mut next = 0;
+    c.bench_function("match_miss_stb", |b| {
+        b.iter(|| {
+            next = (next + 1) % shapes.len();
+            matcher
+                .best_match(black_box(&shapes[next]), &sc.sigma)
+                .unwrap()
+        })
+    });
+    c.bench_function("matcher_build_stb", |b| {
+        b.iter(|| Matcher::new(black_box(&forest), 2, 1))
     });
 }
 
@@ -108,6 +163,7 @@ fn bench_insert_merge_keyed(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_match,
+    bench_match_stb,
     bench_translate_and_script,
     bench_chase_and_egds,
     bench_insert_merge_keyed

@@ -14,9 +14,12 @@
 //! modification), and multi-valued attributes contributed separate edges
 //! (the third).
 
+use std::cmp::Ordering;
+
 use sedex_mapping::Correspondences;
-use sedex_pqgram::{normalized_distance, PqGramProfile, PqLabel, Tree, WindowedProfile};
-use sedex_treerep::{RelationTree, SchemaForest, TupleTree};
+use sedex_pqgram::windowed::subsets;
+use sedex_pqgram::{distance_from_sizes, PqLabel, Tree};
+use sedex_treerep::{RelationTree, SchemaForest, TupleNode, TupleTree};
 
 /// Outcome of a `Match` call: the winning relation and the full ranking.
 #[derive(Debug, Clone)]
@@ -29,37 +32,94 @@ pub struct MatchResult {
     pub ranking: Vec<(String, f64)>,
 }
 
-/// A matcher for one target schema: caches the target relation trees'
-/// pq-gram profiles and, per target tree, the set of relations it spans
+/// Label id of the dummy `*` node; real labels have ids ≥ 1.
+const DUMMY: u32 = 0;
+
+/// A matcher for one target schema, over interned labels.
+///
+/// Every label of the target forest is a *vocabulary* label: `vocab[i]`
+/// has id `2i + 2`. A translated label outside the vocabulary that sorts
+/// between `vocab[k − 1]` and `vocab[k]` has the odd id `2k + 1`. So id
+/// order is label order — sorting siblings by id sorts them by label, as
+/// the pq-gram construction requires for `q ≥ 2` — and an odd id occurs in
+/// no target gram. Each target tree is kept as its sorted gram keys (`p + q`
+/// ids per gram), its sorted label-id set and the relations it spans
 /// (needed to resolve relation-qualified correspondences).
 ///
-/// By default the matcher compares *sorted plain* pq-gram profiles; with
-/// `q = 1` (the paper's setting in every worked example) these coincide
-/// with windowed pq-grams. [`Matcher::windowed`] switches to the full
-/// windowed construction, which is order-invariant for `q > 1` too.
+/// [`Matcher::new`] builds plain pq-grams over sorted trees;
+/// [`Matcher::windowed`] builds windowed pq-grams, which are
+/// order-invariant for `q > 1` too. With `q = 1` (the paper's setting in
+/// every worked example) the two coincide.
 pub struct Matcher {
     p: usize,
     q: usize,
     window: Option<usize>,
-    entries: Vec<TargetEntry>,
+    /// Every label occurring in a target tree, sorted and deduplicated.
+    vocab: Vec<String>,
+    /// The target trees, sorted by relation name (the ranking's last
+    /// tie-breaker).
+    targets: Vec<Target>,
 }
 
-enum CachedProfile {
-    Plain(PqGramProfile<String>),
-    Windowed(WindowedProfile<String>),
-}
-
-struct TargetEntry {
+struct Target {
     relation: String,
-    profile: CachedProfile,
     /// Relations whose columns appear in this tree (the root relation plus
     /// every FK-expanded relation).
     span: Vec<String>,
-    /// The property labels occurring in this tree — used to pick, among
-    /// several unqualified correspondences for one source property, the one
-    /// that can actually land in this tree (e.g. a source key mapped to the
-    /// keys of both halves of a vertical partition).
-    labels: std::collections::HashSet<String>,
+    /// Sorted gram keys, `p + q` label ids per gram.
+    grams: Vec<u32>,
+    /// Sorted ids of the labels occurring in this tree — used to pick,
+    /// among several unqualified correspondences for one source property,
+    /// the one that can actually land in this tree (e.g. a source key
+    /// mapped to the keys of both halves of a vertical partition).
+    labels: Vec<u32>,
+}
+
+/// How one tuple-tree node translates into the target vocabulary.
+enum NodeLabel<'a> {
+    /// The same id for every candidate target tree.
+    Fixed(u32),
+    /// An id that depends on the candidate (see [`NodeLabel::for_target`]).
+    PerCandidate {
+        /// `(target relation, id)` of each relation-qualified target.
+        qualified: Vec<(&'a str, u32)>,
+        /// Ids of the unqualified targets, in Σ order.
+        unqualified: Vec<u32>,
+        /// The id when neither kind applies.
+        otherwise: u32,
+    },
+}
+
+impl NodeLabel<'_> {
+    /// The node's id when the tuple tree is compared with `t`.
+    fn for_target(&self, t: &Target) -> u32 {
+        let (qualified, unqualified, otherwise) = match self {
+            NodeLabel::Fixed(id) => return *id,
+            NodeLabel::PerCandidate {
+                qualified,
+                unqualified,
+                otherwise,
+            } => (qualified, unqualified, *otherwise),
+        };
+        // 1. A correspondence qualified into one of the spanned relations
+        //    wins.
+        for rel in &t.span {
+            if let Some(&(_, id)) = qualified.iter().find(|(r, _)| r == rel) {
+                return id;
+            }
+        }
+        // 2. Among unqualified correspondences, prefer one whose target
+        //    label actually occurs in this tree.
+        if let Some(&id) = unqualified
+            .iter()
+            .find(|id| t.labels.binary_search(id).is_ok())
+        {
+            return id;
+        }
+        // 3. The first unqualified target; else any target label, else an
+        //    unmatchable marker.
+        unqualified.first().copied().unwrap_or(otherwise)
+    }
 }
 
 impl Matcher {
@@ -76,34 +136,51 @@ impl Matcher {
     }
 
     fn build(target_forest: &SchemaForest, p: usize, q: usize, window: Option<usize>) -> Self {
-        let entries = target_forest
+        assert!(p > 0 && q > 0, "pq-gram parameters must be positive");
+        assert!(
+            window.map_or(true, |w| w >= q),
+            "window must be at least q wide"
+        );
+        let mut vocab: Vec<&str> = target_forest
             .trees()
             .iter()
-            .map(|rt| TargetEntry {
-                relation: rt.relation.clone(),
-                profile: match window {
-                    None => CachedProfile::Plain(PqGramProfile::from_pq_tree(&rt.tree, p, q)),
-                    Some(w) => {
-                        CachedProfile::Windowed(WindowedProfile::from_pq_tree(&rt.tree, p, q, w))
-                    }
-                },
-                span: span_of(rt),
-                labels: rt
-                    .tree
-                    .labels()
-                    .filter_map(|(_, l)| match l {
-                        PqLabel::Label(s) => Some(s.clone()),
-                        PqLabel::Dummy => None,
-                    })
-                    .collect(),
+            .flat_map(|rt| rt.tree.labels())
+            .filter_map(|(_, l)| match l {
+                PqLabel::Label(s) => Some(s.as_str()),
+                PqLabel::Dummy => None,
             })
             .collect();
-        Matcher {
+        vocab.sort_unstable();
+        vocab.dedup();
+        let mut m = Matcher {
             p,
             q,
             window,
-            entries,
+            vocab: vocab.into_iter().map(str::to_owned).collect(),
+            targets: Vec::with_capacity(target_forest.trees().len()),
+        };
+        for rt in target_forest.trees() {
+            let ids: Vec<u32> = rt
+                .tree
+                .labels()
+                .map(|(_, l)| match l {
+                    PqLabel::Label(s) => m.label_id(s),
+                    PqLabel::Dummy => DUMMY,
+                })
+                .collect();
+            let mut labels: Vec<u32> = ids.iter().copied().filter(|&id| id != DUMMY).collect();
+            labels.sort_unstable();
+            labels.dedup();
+            let target = Target {
+                relation: rt.relation.clone(),
+                span: span_of(rt),
+                grams: m.gram_keys(&rt.tree, &ids),
+                labels,
+            };
+            m.targets.push(target);
         }
+        m.targets.sort_by(|a, b| a.relation.cmp(&b.relation));
+        m
     }
 
     /// Run `Match` for a source tuple tree. Returns `None` when the target
@@ -114,39 +191,47 @@ impl Matcher {
     /// break by *label coverage* — how many of the tuple tree's properties
     /// can land in the candidate at all — and then by name for determinism.
     pub fn best_match(&self, tt: &TupleTree, sigma: &Correspondences) -> Option<MatchResult> {
-        let mut scored: Vec<(String, f64, usize)> = Vec::with_capacity(self.entries.len());
-        for e in &self.entries {
-            let translated = translate_labels(tt, sigma, &e.span, &e.labels);
-            let d = match &e.profile {
-                CachedProfile::Plain(target) => {
-                    let profile = PqGramProfile::from_pq_tree(&translated, self.p, self.q);
-                    normalized_distance(&profile, target)
+        let nodes: Vec<NodeLabel> = tt
+            .tree
+            .labels()
+            .map(|(_, l)| self.node_label(l, sigma))
+            .collect();
+        let per_candidate = nodes
+            .iter()
+            .any(|n| matches!(n, NodeLabel::PerCandidate { .. }));
+        let k = self.p + self.q;
+        // The query's label ids and gram keys, rebuilt only when a
+        // candidate translates some node differently from the last one.
+        let mut ids: Vec<u32> = Vec::new();
+        let mut grams: Vec<u32> = Vec::new();
+        let mut scored: Vec<(usize, f64, usize)> = Vec::with_capacity(self.targets.len());
+        for (i, t) in self.targets.iter().enumerate() {
+            if ids.is_empty() || per_candidate {
+                let next: Vec<u32> = nodes.iter().map(|n| n.for_target(t)).collect();
+                if next != ids {
+                    grams = self.gram_keys(&tt.tree, &next);
+                    ids = next;
                 }
-                CachedProfile::Windowed(target) => {
-                    let w = self.window.expect("windowed entries imply a window");
-                    let profile = WindowedProfile::from_pq_tree(&translated, self.p, self.q, w);
-                    profile.distance(target)
-                }
-            };
-            let coverage = translated
-                .labels()
-                .filter(|(_, l)| match l {
-                    PqLabel::Label(s) => e.labels.contains(s),
-                    PqLabel::Dummy => false,
-                })
+            }
+            let inter = intersection(&grams, &t.grams, k);
+            let d = distance_from_sizes(grams.len() / k, t.grams.len() / k, inter);
+            let coverage = ids
+                .iter()
+                .filter(|id| t.labels.binary_search(id).is_ok())
                 .count();
-            scored.push((e.relation.clone(), d, coverage));
+            scored.push((i, d, coverage));
         }
-        scored.sort_by(|a, b| {
-            a.1.total_cmp(&b.1)
-                .then_with(|| b.2.cmp(&a.2))
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        let (relation, distance, _) = scored.first()?.clone();
+        // Stable: equal distance and coverage keep name order.
+        scored.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| b.2.cmp(&a.2)));
+        let ranking: Vec<(String, f64)> = scored
+            .into_iter()
+            .map(|(i, d, _)| (self.targets[i].relation.clone(), d))
+            .collect();
+        let (relation, distance) = ranking.first()?.clone();
         Some(MatchResult {
             relation,
             distance,
-            ranking: scored.into_iter().map(|(r, d, _)| (r, d)).collect(),
+            ranking,
         })
     }
 
@@ -154,6 +239,134 @@ impl Matcher {
     pub fn params(&self) -> (usize, usize) {
         (self.p, self.q)
     }
+
+    /// The id of a label string (see [`Matcher`]).
+    fn label_id(&self, label: &str) -> u32 {
+        match self.vocab.binary_search_by(|v| v.as_str().cmp(label)) {
+            Ok(i) => 2 * i as u32 + 2,
+            Err(k) => 2 * k as u32 + 1,
+        }
+    }
+
+    /// Map a tuple-tree label into the target vocabulary via Σ — the
+    /// schema-level reduction plus translation. A node is candidate-
+    /// independent when its correspondences all have an unqualified target
+    /// and name at most one label; otherwise [`NodeLabel::for_target`]
+    /// resolves it per candidate. Unmatched properties get a label no
+    /// target tree can contain.
+    fn node_label<'a>(
+        &self,
+        label: &'a PqLabel<TupleNode>,
+        sigma: &'a Correspondences,
+    ) -> NodeLabel<'a> {
+        let PqLabel::Label(n) = label else {
+            return NodeLabel::Fixed(DUMMY);
+        };
+        let mut qualified = Vec::new();
+        let mut unqualified = Vec::new();
+        for c in sigma.matches(Some(&n.relation), &n.prop) {
+            let id = self.label_id(&c.target.column);
+            match &c.target.relation {
+                Some(r) => qualified.push((r.as_str(), id)),
+                None => unqualified.push(id),
+            }
+        }
+        let otherwise = || match sigma.target_label(Some(&n.relation), &n.prop) {
+            Some(t) => self.label_id(t),
+            None => self.label_id(&format!("\u{1}src:{}", n.prop)),
+        };
+        if qualified.is_empty() && unqualified.windows(2).all(|w| w[0] == w[1]) {
+            return NodeLabel::Fixed(unqualified.first().copied().unwrap_or_else(otherwise));
+        }
+        NodeLabel::PerCandidate {
+            qualified,
+            unqualified,
+            otherwise: otherwise(),
+        }
+    }
+
+    /// The sorted gram keys of a tree whose node `i` has label id `ids[i]`:
+    /// the grams of `PqGramProfile::from_pq_tree` (or, when windowed,
+    /// `WindowedProfile::from_pq_tree`), `p + q` ids each. Dummy nodes pad
+    /// grams but are never anchors.
+    fn gram_keys<L>(&self, tree: &Tree<L>, ids: &[u32]) -> Vec<u32> {
+        let (p, q) = (self.p, self.q);
+        let mut out = Vec::new();
+        let mut stem = vec![DUMMY; p];
+        let mut kids = Vec::new();
+        let mut buf = Vec::new();
+        for anchor in 0..tree.len() {
+            if ids[anchor] == DUMMY {
+                continue;
+            }
+            // p − 1 ancestors, dummy-padded above the root, then the anchor.
+            let mut cur = Some(anchor);
+            for slot in stem.iter_mut().rev() {
+                *slot = cur.map_or(DUMMY, |n| ids[n]);
+                cur = cur.and_then(|n| tree.parent(n));
+            }
+            let mut emit = |w: &[u32]| {
+                out.extend_from_slice(&stem);
+                out.extend_from_slice(w);
+            };
+            kids.clear();
+            kids.extend(tree.children(anchor).iter().map(|&c| ids[c]));
+            kids.sort_unstable();
+            if kids.is_empty() {
+                // A leaf gets q dummy children: one all-dummy window.
+                buf.clear();
+                buf.resize(q, DUMMY);
+                emit(&buf);
+                continue;
+            }
+            match self.window {
+                None => {
+                    // Pad with q − 1 dummies on each side, then slide.
+                    buf.clear();
+                    buf.resize(q - 1, DUMMY);
+                    buf.extend_from_slice(&kids);
+                    buf.resize(kids.len() + 2 * (q - 1), DUMMY);
+                    buf.windows(q).for_each(&mut emit);
+                }
+                Some(w) => {
+                    // Each child with a sorted (q − 1)-subset of the w − 1
+                    // children circularly following it.
+                    let k = kids.len();
+                    for i in 0..k {
+                        let follow: Vec<u32> = (1..w.min(k)).map(|j| kids[(i + j) % k]).collect();
+                        for mut subset in subsets(&follow, q - 1) {
+                            subset.sort_unstable();
+                            buf.clear();
+                            buf.push(kids[i]);
+                            buf.extend_from_slice(&subset);
+                            buf.resize(q, DUMMY);
+                            emit(&buf);
+                        }
+                    }
+                }
+            }
+        }
+        let mut grams: Vec<&[u32]> = out.chunks_exact(p + q).collect();
+        grams.sort_unstable();
+        grams.concat()
+    }
+}
+
+/// Bag-intersection size of two sorted gram-key lists, `k` ids per gram.
+fn intersection(a: &[u32], b: &[u32], k: usize) -> usize {
+    let (mut i, mut j, mut n) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i..i + k].cmp(&b[j..j + k]) {
+            Ordering::Less => i += k,
+            Ordering::Greater => j += k,
+            Ordering::Equal => {
+                n += 1;
+                i += k;
+                j += k;
+            }
+        }
+    }
+    n
 }
 
 /// Relations spanned by a relation tree, via its node metadata.
@@ -172,49 +385,6 @@ fn span_of(rt: &RelationTree) -> Vec<String> {
         }
     }
     span
-}
-
-/// Reduce a tuple tree to schema level *and* map its labels into the target
-/// vocabulary via Σ, scoped to the relations a candidate target tree spans.
-/// Unmatched properties get a label no target tree can contain.
-fn translate_labels(
-    tt: &TupleTree,
-    sigma: &Correspondences,
-    target_span: &[String],
-    target_labels: &std::collections::HashSet<String>,
-) -> Tree<PqLabel<String>> {
-    tt.tree.map_labels(|l| match l {
-        PqLabel::Dummy => PqLabel::Dummy,
-        PqLabel::Label(n) => {
-            // 1. A correspondence qualified into one of the spanned
-            //    relations wins.
-            for rel in target_span {
-                if let Some(t) =
-                    sigma.target_in_relation(Some(&n.relation), &n.prop, rel, |_| false)
-                {
-                    return PqLabel::Label(t.to_owned());
-                }
-            }
-            // 2. Among unqualified correspondences, prefer one whose target
-            //    label actually occurs in this tree.
-            let mut fallback: Option<&str> = None;
-            for c in sigma.matches(Some(&n.relation), &n.prop) {
-                if c.target.relation.is_none() {
-                    if target_labels.contains(&c.target.column) {
-                        return PqLabel::Label(c.target.column.clone());
-                    }
-                    if fallback.is_none() {
-                        fallback = Some(&c.target.column);
-                    }
-                }
-            }
-            // 3. Any target label at all; else an unmatchable marker.
-            match fallback.or_else(|| sigma.target_label(Some(&n.relation), &n.prop)) {
-                Some(t) => PqLabel::Label(t.to_owned()),
-                None => PqLabel::Label(format!("\u{1}src:{}", n.prop)),
-            }
-        }
-    })
 }
 
 #[cfg(test)]

@@ -35,10 +35,20 @@ pub fn normalized_distance<L: Eq + Hash>(a: &PqGramProfile<L>, b: &PqGramProfile
         (b.p(), b.q()),
         "profiles built with different (p,q) parameters"
     );
-    let inter = a.intersection_size(b) as f64;
-    let union = a.union_size(b) as f64;
+    distance_from_sizes(a.len(), b.len(), a.intersection_size(b))
+}
+
+/// The normalized pq-gram distance from the two profile sizes `|ϕ(T1)|`,
+/// `|ϕ(T2)|` and their bag-intersection size `|ϕ(T1) ∩ ϕ(T2)|` — the one
+/// place the formula lives, shared by plain and windowed profiles and by
+/// callers that count the intersection themselves.
+///
+/// `0` when the union equals the intersection (identical profiles,
+/// including both empty).
+pub fn distance_from_sizes(len_a: usize, len_b: usize, inter: usize) -> f64 {
+    let union = (len_a + len_b - inter) as f64;
+    let inter = inter as f64;
     if union == inter {
-        // Identical profiles (including both empty).
         return 0.0;
     }
     (union - 2.0 * inter) / (union - inter)

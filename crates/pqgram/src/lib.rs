@@ -35,7 +35,7 @@ pub mod tree;
 pub mod windowed;
 
 pub use bag::Bag;
-pub use distance::normalized_distance;
+pub use distance::{distance_from_sizes, normalized_distance};
 pub use profile::{Gram, PqGramProfile, PqLabel};
 pub use ted::{normalized_tree_edit_distance, tree_edit_distance};
 pub use tree::{NodeId, Tree};

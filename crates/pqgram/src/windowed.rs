@@ -17,6 +17,7 @@
 use std::hash::Hash;
 
 use crate::bag::Bag;
+use crate::distance::distance_from_sizes;
 use crate::profile::{Gram, PqLabel};
 use crate::tree::{NodeId, Tree};
 
@@ -120,7 +121,7 @@ fn stem_of<L: Clone + Eq + Hash>(
 /// All `k`-element subsets of `items` (by index combination). For `k = 0`
 /// there is exactly one (empty) subset. When `items.len() < k`, the single
 /// subset of all items is returned (the caller pads with dummies).
-fn subsets<T: Clone>(items: &[T], k: usize) -> Vec<Vec<T>> {
+pub fn subsets<T: Clone>(items: &[T], k: usize) -> Vec<Vec<T>> {
     if k == 0 {
         return vec![Vec::new()];
     }
@@ -191,12 +192,11 @@ impl<L: Eq + Hash> WindowedProfile<L> {
             (other.p, other.q, other.w),
             "profiles built with different (p,q,w) parameters"
         );
-        let inter = self.grams.intersection_size(&other.grams) as f64;
-        let union = self.grams.union_size(&other.grams) as f64;
-        if union == inter {
-            return 0.0;
-        }
-        (union - 2.0 * inter) / (union - inter)
+        distance_from_sizes(
+            self.len(),
+            other.len(),
+            self.grams.intersection_size(&other.grams),
+        )
     }
 }
 
