@@ -1,19 +1,21 @@
 //! Criterion microbenches for the exchange kernels: Match (on the 3-tree
 //! university forest and on the 70-tree STB forest), the matcher build,
-//! translate, script generation, script execution, chase, egd application
-//! and the keyed storage insert that enforces egds in place.
+//! translate, script generation, script execution, chase, egd application,
+//! the keyed storage insert that enforces egds in place, and the two costs
+//! a served `PUSH` pays on top of the engine: snapshot publish and reply.
 
 use std::collections::HashSet;
 
 use sedex_bench::harness::{black_box, criterion_group, criterion_main, Criterion};
 use sedex_core::scriptgen::generate_script;
 use sedex_core::translate::{slot_values, translate};
-use sedex_core::{run_script, Matcher};
+use sedex_core::{run_script, Matcher, SedexConfig, SedexSession};
 use sedex_mapping::chase::{chase, NullFactory};
 use sedex_mapping::egd::apply_egds;
 use sedex_mapping::{generate_tgds, Egd};
 use sedex_scenarios::ibench::{stb, IbenchConfig};
-use sedex_scenarios::{university, GenRule, Scenario};
+use sedex_scenarios::{textfmt, university, GenRule, Scenario};
+use sedex_service::server::push_summary;
 use sedex_storage::{ConflictPolicy, Instance, RelationInstance, RelationSchema, Tuple, Value};
 use sedex_treerep::{tuple_shape_key, tuple_tree, SchemaForest, TreeConfig};
 
@@ -160,12 +162,55 @@ fn bench_insert_merge_keyed(c: &mut Criterion) {
     g.finish();
 }
 
+/// A streaming ingest session like the service benchmark's: 100 `Dep`
+/// rows fed (a 100-row source tail), then 10 112 students exchanged — 39
+/// sealed chunks plus a half-full 128-row tail in `Student` and in the
+/// target `Stu`.
+fn ingest_session() -> SedexSession {
+    let file = textfmt::parse_scenario(
+        "[source]\nDep(dname*, building)\nStudent(sname*, program, dep->Dep)\n\
+         [target]\nStu(student*, prog, dpt)\n\
+         [correspondences]\nsname <-> student\nprogram <-> prog\ndep <-> dpt\n",
+    )
+    .unwrap();
+    let s = file.scenario;
+    let mut session =
+        SedexSession::new(SedexConfig::default(), s.source, s.target, s.sigma).unwrap();
+    for i in 0..100 {
+        let t = Tuple::of([format!("d{i}"), format!("b{}", i % 7)]);
+        session.feed("Dep", t).unwrap();
+    }
+    for j in 0..39 * 256 + 128 {
+        let t = Tuple::of([
+            format!("s{j}"),
+            format!("p{}", j % 40),
+            format!("d{}", j % 100),
+        ]);
+        session.exchange_tuple("Student", t).unwrap();
+    }
+    session
+}
+
+/// What every served `PUSH` pays after the exchange, at ~10 000 target
+/// tuples: the snapshot the service publishes at the request boundary,
+/// and the reply's counters line.
+fn bench_session_publish(c: &mut Criterion) {
+    let session = ingest_session();
+    c.bench_function("session_publish_10k", |b| {
+        b.iter(|| black_box(&session).read_snapshot())
+    });
+    c.bench_function("push_reply", |b| {
+        b.iter(|| push_summary(black_box(&session)))
+    });
+}
+
 criterion_group!(
     benches,
     bench_match,
     bench_match_stb,
     bench_translate_and_script,
     bench_chase_and_egds,
-    bench_insert_merge_keyed
+    bench_insert_merge_keyed,
+    bench_session_publish
 );
 criterion_main!(benches);

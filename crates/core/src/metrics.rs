@@ -55,6 +55,16 @@ pub struct ExchangeReport {
 }
 
 impl ExchangeReport {
+    /// A copy of every counter and timing without the hit-event log — what
+    /// a point-in-time snapshot of a running report carries. Copies no
+    /// heap memory.
+    pub(crate) fn without_hit_events(&self) -> ExchangeReport {
+        ExchangeReport {
+            hit_events: Vec::new(),
+            ..*self
+        }
+    }
+
     /// Total wall time.
     pub fn total_time(&self) -> Duration {
         self.tg + self.te

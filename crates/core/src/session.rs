@@ -350,11 +350,16 @@ impl SedexSession {
     /// The session's running report (stats refreshed on read).
     pub fn report(&mut self) -> &ExchangeReport {
         self.report.stats = self.target.stats();
-        self.report
-            .hit_events
-            .clone_from(&self.repo.events().to_vec());
+        self.report.hit_events.clear();
+        self.report.hit_events.extend_from_slice(self.repo.events());
         self.report.hit_events_dropped = self.repo.events_dropped() as usize;
         &self.report
+    }
+
+    /// `(scripts generated, scripts reused)` so far — the counters a push
+    /// reply prints, read without walking the target.
+    pub fn script_counts(&self) -> (usize, usize) {
+        (self.report.scripts_generated, self.report.scripts_reused)
     }
 
     /// Distinct scripts cached so far — "the only space required".
@@ -368,26 +373,30 @@ impl SedexSession {
     /// NOT copied — it can be large, and concurrent callers (the service's
     /// `STATS` command) only need the counters.
     pub fn report_snapshot(&self) -> ExchangeReport {
-        let mut r = self.report.clone();
+        let mut r = self.counters();
         r.stats = self.target.stats();
-        r.hit_events.clear();
+        r
+    }
+
+    /// The running counters without the hit-event log, with the current
+    /// drop count: what every snapshot of the report carries.
+    fn counters(&self) -> ExchangeReport {
+        let mut r = self.report.without_hit_events();
         r.hit_events_dropped = self.repo.events_dropped() as usize;
         r
     }
 
     /// Capture a [`SessionReadSnapshot`]: consistent copy-on-write views
     /// of source and target plus the report counters. The writer-side cost
-    /// is a tail copy per relation (< 256 tuples each) and `Arc` bumps —
-    /// independent of session size — so the service can afford to publish
-    /// one at every batch boundary while still holding the tenant lock.
+    /// is `Arc` bumps — one per sealed chunk and one per tail tuple (< 256
+    /// per relation), no tuple copied — independent of session size, so
+    /// the service can afford to publish one at every batch boundary while
+    /// still holding the tenant lock.
     pub fn read_snapshot(&self) -> SessionReadSnapshot {
-        let mut report = self.report.clone();
-        report.hit_events.clear();
-        report.hit_events_dropped = self.repo.events_dropped() as usize;
         SessionReadSnapshot {
             source: self.source.snapshot(),
             target: self.target.snapshot(),
-            report,
+            report: self.counters(),
             scripts_cached: self.repo.len(),
             hit_ratio: self.repo.hit_ratio(),
         }
@@ -397,9 +406,8 @@ impl SedexSession {
     /// [`SessionState`]). The per-lookup hit-event log is not exported — it
     /// is unbounded and only feeds the Fig. 14 experiment.
     pub fn export_state(&self) -> SessionState {
-        let mut report = self.report.clone();
+        let mut report = self.report.without_hit_events();
         report.stats = self.target.stats();
-        report.hit_events.clear();
         SessionState {
             source: self.source.clone(),
             target: self.target.clone(),

@@ -1033,10 +1033,9 @@ fn execute(shared: &Shared, request: &Request, proto: Proto) -> Response {
                         }
                     }
                 }
-                let r = t.session.report_snapshot();
                 Ok(Response::ok(format!(
-                    "pushed batch of {total} | scripts {} generated / {} reused | target {} tuples",
-                    r.scripts_generated, r.scripts_reused, r.stats.tuples
+                    "pushed batch of {total} | {}",
+                    push_summary(&t.session)
                 )))
             });
             if resp.ok {
@@ -1900,16 +1899,26 @@ fn push_parsed(shared: &Shared, session: &str, rel: &str, tuple: Tuple) -> Respo
                 );
             }
         }
-        let r = t.session.report_snapshot();
         Ok(Response::ok(format!(
-            "pushed {rel} | scripts {} generated / {} reused | target {} tuples",
-            r.scripts_generated, r.scripts_reused, r.stats.tuples
+            "pushed {rel} | {}",
+            push_summary(&t.session)
         )))
     });
     if resp.ok {
         maybe_checkpoint(shared, session);
     }
     resp
+}
+
+/// The `scripts … | target N tuples` part of a push reply, read from the
+/// session's counters and relation lengths: O(relations), so a push never
+/// walks the target it just grew.
+pub fn push_summary(session: &sedex_core::SedexSession) -> String {
+    let (generated, reused) = session.script_counts();
+    format!(
+        "scripts {generated} generated / {reused} reused | target {} tuples",
+        session.target().total_tuples()
+    )
 }
 
 /// The shared tail of `FEED` (text) and the binary tuple feed.

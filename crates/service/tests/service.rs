@@ -5,7 +5,7 @@ use std::time::Duration;
 use sedex_core::{SedexConfig, SedexSession};
 use sedex_scenarios::textfmt;
 use sedex_service::server::sql_dump;
-use sedex_service::{Client, Server, ServerConfig};
+use sedex_service::{Client, ClientConfig, Server, ServerConfig};
 
 const SCENARIO: &str = "\
 [source]
@@ -174,6 +174,74 @@ fn four_concurrent_clients_match_in_process_sessions() {
             "tenant-{i}: server target diverges from in-process session"
         );
     }
+    handle.shutdown();
+}
+
+/// Push replies are read from counters, not from a walk over the target:
+/// after every text `PUSH` and every binary `PUSH_BATCH` on a keyed target
+/// where some pushes merge, the reply's `scripts … | target N tuples` must
+/// equal what the session's `STATS` computes from its snapshot.
+#[test]
+fn push_replies_match_stats_on_merging_pushes() {
+    const KEYED: &str = "\
+[source]
+Emp(eid*, name)
+Pay(pid*, salary)
+
+[target]
+Person(id*, name, salary)
+
+[correspondences]
+eid <-> id
+pid <-> id
+name <-> name
+salary <-> salary
+";
+    let handle = start_server();
+    let connect = |binary| {
+        let cfg = ClientConfig {
+            binary,
+            ..ClientConfig::default()
+        };
+        Client::connect_with(handle.local_addr(), cfg).unwrap()
+    };
+    let (mut text, mut bin) = (connect(false), connect(true));
+    text.open("m", KEYED).unwrap().into_ok().unwrap();
+    // `scripts G generated / R reused | target N tuples`, from `STATS`.
+    let from_stats = |c: &mut Client| {
+        let body = c.stats(Some("m")).unwrap().into_ok().unwrap().body();
+        let field = |prefix: &str| -> Vec<String> {
+            let line = body.lines().find_map(|l| l.strip_prefix(prefix)).unwrap();
+            line.split(' ').map(str::to_owned).collect()
+        };
+        let scripts = field("scripts: ");
+        let target = field("target: ");
+        let merged = field("rows: ")[2].parse::<usize>().unwrap();
+        let summary = format!(
+            "scripts {} generated / {} reused | target {} tuples",
+            scripts[0], scripts[2], target[0]
+        );
+        (summary, merged)
+    };
+    let mut merged = 0;
+    for i in 0..24 {
+        let r = text.push("m", &format!("Emp: e{i}, n{i}")).unwrap();
+        let (want, _) = from_stats(&mut text);
+        assert_eq!(r.into_ok().unwrap().head, format!("pushed Emp | {want}"));
+        if i % 3 == 2 {
+            // One row merges into an existing `Person`, one adds a new one.
+            let rows = [format!("Pay: e{i}, {i}"), format!("Pay: p{i}, {i}")];
+            let rows: Vec<&str> = rows.iter().map(String::as_str).collect();
+            let r = bin.push_batch("m", &rows).unwrap();
+            let (want, m) = from_stats(&mut bin);
+            assert_eq!(
+                r.into_ok().unwrap().head,
+                format!("pushed batch of 2 | {want}")
+            );
+            merged = m;
+        }
+    }
+    assert_eq!(merged, 8, "every batch merged one row");
     handle.shutdown();
 }
 

@@ -96,9 +96,9 @@ impl Instance {
         self.epoch
     }
 
-    /// Capture a consistent point-in-time snapshot. Sealed row chunks are
-    /// shared with the live instance (`Arc` bumps), only each relation's
-    /// mutable tail (< 256 tuples) is copied — the capture cost is
+    /// Capture a consistent point-in-time snapshot. Sealed row chunks and
+    /// each relation's tail tuples (< 256) are shared with the live
+    /// instance by `Arc` bumps, no tuple is copied — the capture cost is
     /// independent of instance size in the steady state. Index structures
     /// are *not* captured: snapshot readers render and count, they don't
     /// run constraint checks.

@@ -60,9 +60,9 @@ fn update_bucket(index: &mut HashMap<u64, Vec<RowId>>, h: u64, id: RowId, add: b
 ///
 /// Rows live in a chunked copy-on-write [`Rows`] store, so a point-in-time
 /// copy of the row set ([`RelationInstance::rows_snapshot`]) is cheap —
-/// sealed chunks are shared by `Arc`, only the mutable tail is copied —
-/// while the append path keeps mutating uniquely-owned memory. The hash
-/// indexes are never shared with snapshots: readers only need rows.
+/// sealed chunks and tail tuples are shared by `Arc`, no tuple is copied.
+/// The hash indexes are never shared with snapshots: readers only need
+/// rows.
 #[derive(Debug, Clone)]
 pub struct RelationInstance {
     schema: RelationSchema,
@@ -123,8 +123,8 @@ impl RelationInstance {
         self.rows.to_vec()
     }
 
-    /// A point-in-time copy of the row set: sealed chunks are shared, only
-    /// the tail is deep-copied. Later mutations of this instance are
+    /// A point-in-time copy of the row set: sealed chunks and tail tuples
+    /// are shared, no tuple is copied. Later mutations of this instance are
     /// invisible to the returned [`Rows`] — the capture primitive behind
     /// [`crate::instance::Instance::snapshot`].
     pub fn rows_snapshot(&self) -> Rows {

@@ -5,17 +5,18 @@
 //! (each exactly [`CHUNK`] tuples, behind an `Arc`) plus one small mutable
 //! tail. The shape buys two things at once:
 //!
-//! * **Cheap snapshots.** `Rows::clone()` bumps one `Arc` per sealed chunk
-//!   and deep-copies only the tail (at most `CHUNK - 1` tuples), so a
-//!   reader can capture a consistent view of a million-row relation in
-//!   microseconds. This is what lets the service publish a point-in-time
+//! * **Cheap snapshots.** The tail holds each tuple behind its own `Arc`,
+//!   so `Rows::clone()` bumps one `Arc` per sealed chunk and one per tail
+//!   tuple (at most `CHUNK - 1`) and copies no tuple: a reader can capture
+//!   a consistent view of a million-row relation in microseconds. This is
+//!   what lets the service publish a point-in-time
 //!   [`crate::instance::InstanceSnapshot`] at every batch boundary without
 //!   slowing the writer down.
-//! * **No copy-on-write tax on the append path.** The tail is never shared
-//!   — a snapshot deep-copies it — so `push` mutates uniquely-owned memory
-//!   even while arbitrarily many snapshots pin the sealed chunks. Only
-//!   in-place row *replacement* (egd merges) pays a one-chunk copy, and
-//!   only when a snapshot actually shares that chunk.
+//! * **At most one tuple copy per append.** `push` wraps the tuple in a
+//!   fresh `Arc`; sealing a full tail copies only the tuples a snapshot
+//!   still holds. In-place row *replacement* (egd merges) swaps a tail
+//!   tuple's `Arc`, or pays a one-chunk copy on a sealed chunk a snapshot
+//!   actually shares.
 //!
 //! Whole-set rebuilds (dedup, substitution, core minimisation) re-chunk
 //! from a `Vec<Tuple>`; those operations were already O(n).
@@ -25,23 +26,23 @@ use std::sync::Arc;
 
 use crate::tuple::Tuple;
 
-/// Tuples per sealed chunk. Small enough that the snapshot tail copy and a
-/// one-chunk copy-on-write stay cheap; large enough that per-chunk `Arc`
-/// overhead disappears against tuple payloads.
+/// Tuples per sealed chunk. Small enough that a snapshot's per-tail-tuple
+/// `Arc` bumps and a one-chunk copy-on-write stay cheap; large enough that
+/// per-chunk `Arc` overhead disappears against tuple payloads.
 pub const CHUNK: usize = 256;
 
 /// A tuple sequence stored as sealed `Arc`'d chunks plus a mutable tail.
 ///
-/// Cloning is the snapshot operation: sealed chunks are shared by
-/// reference, the tail is deep-copied. Positional order is insertion
-/// order, matching the `Vec<Tuple>` this type replaced — `RowId`s remain
-/// stable positions.
+/// Cloning is the snapshot operation: sealed chunks and tail tuples are
+/// shared by reference. Positional order is insertion order, matching the
+/// `Vec<Tuple>` this type replaced — `RowId`s remain stable positions.
 #[derive(Debug, Clone, Default)]
 pub struct Rows {
     /// Immutable full chunks (every one exactly `CHUNK` tuples long).
     sealed: Vec<Arc<Vec<Tuple>>>,
-    /// The mutable tail (always shorter than `CHUNK`); never shared.
-    tail: Vec<Tuple>,
+    /// The mutable tail (always shorter than `CHUNK`); snapshots share its
+    /// tuples, never the vector.
+    tail: Vec<Arc<Tuple>>,
 }
 
 impl Rows {
@@ -54,7 +55,11 @@ impl Rows {
     pub fn from_vec(mut v: Vec<Tuple>) -> Self {
         let full = v.len() / CHUNK;
         let mut sealed = Vec::with_capacity(full);
-        let tail = v.split_off(full * CHUNK);
+        let tail = v
+            .split_off(full * CHUNK)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
         let mut rest = v;
         for _ in 0..full {
             let remainder = rest.split_off(CHUNK);
@@ -65,8 +70,8 @@ impl Rows {
         Rows { sealed, tail }
     }
 
-    /// Flatten back into a plain vector. Chunks still shared with a
-    /// snapshot are copied; uniquely-owned ones are moved.
+    /// Flatten back into a plain vector. Chunks and tail tuples still
+    /// shared with a snapshot are copied; uniquely-owned ones are moved.
     pub fn into_vec(self) -> Vec<Tuple> {
         let mut out = Vec::with_capacity(self.len());
         for chunk in self.sealed {
@@ -75,7 +80,7 @@ impl Rows {
                 Err(shared) => out.extend(shared.iter().cloned()),
             }
         }
-        out.extend(self.tail);
+        out.extend(self.tail.into_iter().map(unshare));
         out
     }
 
@@ -100,7 +105,7 @@ impl Rows {
         if i < sealed_len {
             Some(&self.sealed[i / CHUNK][i % CHUNK])
         } else {
-            self.tail.get(i - sealed_len)
+            self.tail.get(i - sealed_len).map(|t| &**t)
         }
     }
 
@@ -109,35 +114,38 @@ impl Rows {
         self.sealed
             .iter()
             .flat_map(|c| c.iter())
-            .chain(self.tail.iter())
+            .chain(self.tail.iter().map(|t| &**t))
     }
 
     /// Append a tuple; seals the tail into an immutable chunk when it
-    /// reaches [`CHUNK`]. Never copies shared memory.
+    /// reaches [`CHUNK`], copying only the tail tuples a snapshot still
+    /// holds.
     pub fn push(&mut self, t: Tuple) {
-        self.tail.push(t);
+        self.tail.push(Arc::new(t));
         if self.tail.len() == CHUNK {
             let full = std::mem::take(&mut self.tail);
+            let full = full.into_iter().map(unshare).collect();
             self.sealed.push(Arc::new(full));
         }
     }
 
     /// Replace the tuple at position `i`. A sealed chunk shared with a
-    /// snapshot is copied first (one chunk, not the whole set); the
-    /// snapshot keeps the old row.
+    /// snapshot is copied first (one chunk, not the whole set); a tail
+    /// tuple's `Arc` is swapped. Either way the snapshot keeps the old row.
     pub fn set(&mut self, i: usize, t: Tuple) {
         let sealed_len = self.sealed.len() * CHUNK;
         if i < sealed_len {
             Arc::make_mut(&mut self.sealed[i / CHUNK])[i % CHUNK] = t;
         } else {
-            self.tail[i - sealed_len] = t;
+            self.tail[i - sealed_len] = Arc::new(t);
         }
     }
 
     /// Mutate tuples in place, copy-on-write per chunk: a sealed chunk is
     /// only cloned (and only once) when `hit` says some tuple in it will
-    /// actually change. Returns the sum of `apply`'s returns — callers use
-    /// it to count replaced values.
+    /// actually change, a shared tail tuple only when `hit` selects it.
+    /// `apply` must leave tuples `hit` rejects unchanged. Returns the sum of
+    /// `apply`'s returns — callers use it to count replaced values.
     pub fn for_each_mut_where(
         &mut self,
         hit: impl Fn(&Tuple) -> bool,
@@ -152,7 +160,9 @@ impl Rows {
             }
         }
         for t in &mut self.tail {
-            changed += apply(t);
+            if hit(t) {
+                changed += apply(Arc::make_mut(t));
+            }
         }
         changed
     }
@@ -165,6 +175,11 @@ impl Rows {
             .filter(|c| Arc::strong_count(c) > 1)
             .count()
     }
+}
+
+/// Move a tuple out of its `Arc`, or copy it when a snapshot still holds it.
+fn unshare(t: Arc<Tuple>) -> Tuple {
+    Arc::try_unwrap(t).unwrap_or_else(|t| (*t).clone())
 }
 
 impl Index<usize> for Rows {
@@ -210,6 +225,11 @@ mod tests {
             r.push(tuple![i as i64]);
         }
         r
+    }
+
+    /// Tail tuples currently shared with at least one snapshot.
+    fn shared_tail(r: &Rows) -> usize {
+        r.tail.iter().filter(|t| Arc::strong_count(t) > 1).count()
     }
 
     #[test]
@@ -291,5 +311,59 @@ mod tests {
         // Chunks 0 and 1 stay shared; only chunk 2 was copied.
         assert_eq!(live.shared_chunks(), 2);
         assert_eq!(live.get(2 * CHUNK + 1), Some(&tuple![-1i64]));
+    }
+
+    #[test]
+    fn snapshot_shares_tail_tuples_without_copying() {
+        let live = n_rows(2 * CHUNK + 100);
+        assert_eq!(shared_tail(&live), 0);
+        let snap = live.clone();
+        assert_eq!(shared_tail(&live), 100);
+        assert_eq!(live.shared_chunks(), 2);
+        drop(snap);
+        assert_eq!(shared_tail(&live), 0);
+    }
+
+    #[test]
+    fn seal_with_a_live_snapshot_keeps_the_snapshot() {
+        let mut live = n_rows(CHUNK - 1);
+        let snap = live.clone();
+        live.push(tuple![-1i64]);
+        assert!(live.tail.is_empty());
+        assert_eq!(live.shared_chunks(), 0);
+        assert_eq!(snap.to_vec(), n_rows(CHUNK - 1).to_vec());
+        assert_eq!(live.get(CHUNK - 1), Some(&tuple![-1i64]));
+    }
+
+    #[test]
+    fn set_on_shared_tail_leaves_snapshot_unchanged() {
+        let mut live = n_rows(CHUNK + 10);
+        let snap = live.clone();
+        live.set(CHUNK + 4, tuple![-4i64]);
+        assert_eq!(snap.to_vec(), n_rows(CHUNK + 10).to_vec());
+        assert_eq!(live.get(CHUNK + 4), Some(&tuple![-4i64]));
+        // Only the replaced tuple stopped being shared.
+        assert_eq!(shared_tail(&live), 9);
+    }
+
+    #[test]
+    fn for_each_mut_where_on_shared_tail_leaves_snapshot_unchanged() {
+        let mut live = n_rows(CHUNK + 10);
+        let snap = live.clone();
+        let target = Value::int((CHUNK + 3) as i64);
+        let changed = live.for_each_mut_where(
+            |t| t.values()[0] == target,
+            |t| {
+                *t = tuple![-3i64];
+                1
+            },
+        );
+        assert_eq!(changed, 1);
+        assert_eq!(snap.to_vec(), n_rows(CHUNK + 10).to_vec());
+        assert_eq!(live.get(CHUNK + 3), Some(&tuple![-3i64]));
+        // The sealed chunk had no hit and stays shared; of the tail, only
+        // the selected tuple was copied.
+        assert_eq!(live.shared_chunks(), 1);
+        assert_eq!(shared_tail(&live), 9);
     }
 }

@@ -248,3 +248,142 @@ fn stats_accounting() {
         assert_eq!(s.atoms(), s.tuples * 3, "seed {seed}");
     }
 }
+
+/// Model-checked snapshots over the shared tail: a seeded mix of `insert`
+/// (Allow appends same-key rows, Merge unifies into the first key-mate,
+/// sealed or tail), `substitute_labeled` and a dedup (`set_rows` of the
+/// live rows), with snapshots captured at random points and forced at tail
+/// lengths 0, 1 and 255. A plain `Vec<Tuple>` is the model. Every snapshot
+/// must read exactly the model at its capture — checked when it is
+/// dropped, at random, and at the end — and the live rows the final model.
+#[test]
+fn snapshots_match_the_model_at_capture() {
+    use sedex_storage::rows::CHUNK;
+    use std::collections::{HashMap, HashSet};
+
+    let value = |rng: &mut Rng| match rng.below(6) {
+        0 | 1 => Value::Null,
+        2 | 3 => Value::Labeled(rng.below(4) as u64),
+        _ => Value::int(rng.below(3) as i64 + 1),
+    };
+    let dedup = |model: &mut Vec<Tuple>| {
+        let mut seen = HashSet::new();
+        model.retain(|t| seen.insert(t.clone()));
+    };
+    let mut tails_captured = HashSet::new();
+    let (mut sealed_merges, mut tail_merges, mut substitutions, mut dedups) = (0, 0, 0, 0);
+    let mut seals_under_snapshot = 0;
+    for seed in 0..12u64 {
+        let mut rng = Rng(seed);
+        let mut inst = keyed_instance();
+        let mut model: Vec<Tuple> = Vec::new();
+        let mut snaps: Vec<(sedex_storage::InstanceSnapshot, Vec<Tuple>)> = Vec::new();
+        let check = |(snap, want): &(sedex_storage::InstanceSnapshot, Vec<Tuple>)| {
+            assert_eq!(&snap.relation("R").unwrap().to_vec(), want, "seed {seed}");
+        };
+        for step in 0..1_400 {
+            let tail = model.len() % CHUNK;
+            let forced = [0, 1, CHUNK - 1].contains(&tail) && rng.below(2) == 0;
+            if forced || rng.below(8) == 0 {
+                if model.len() >= CHUNK || tail != 0 {
+                    tails_captured.insert(tail);
+                }
+                snaps.push((inst.snapshot(), model.clone()));
+            }
+            if !snaps.is_empty() && rng.below(6) == 0 {
+                check(&snaps.swap_remove(rng.below(snaps.len())));
+            }
+            match rng.below(40) {
+                0 => {
+                    let mut subst = HashMap::new();
+                    subst.insert(rng.below(4) as u64, Value::int(rng.below(3) as i64 + 1));
+                    let changed = inst.substitute_labeled(&subst);
+                    let mut want = 0;
+                    for t in &mut model {
+                        for v in t.values_mut() {
+                            if let Value::Labeled(l) = v {
+                                if let Some(rep) = subst.get(l) {
+                                    *v = rep.clone();
+                                    want += 1;
+                                }
+                            }
+                        }
+                    }
+                    assert_eq!(changed, want, "seed {seed} step {step}");
+                    if changed > 0 {
+                        dedup(&mut model);
+                        substitutions += 1;
+                    }
+                }
+                1 => {
+                    let rel = inst.relation_mut("R").unwrap();
+                    let rows = rel.to_vec();
+                    rel.set_rows(rows);
+                    let before = model.len();
+                    dedup(&mut model);
+                    dedups += usize::from(model.len() < before);
+                }
+                _ => {
+                    let t = Tuple::new(vec![
+                        Value::int(rng.below(900) as i64),
+                        value(&mut rng),
+                        value(&mut rng),
+                    ]);
+                    let policy = if rng.below(3) == 0 {
+                        ConflictPolicy::Allow
+                    } else {
+                        ConflictPolicy::Merge
+                    };
+                    let out = inst.insert("R", t.clone(), policy);
+                    let dup = model.iter().position(|u| u == &t);
+                    let mate = model.iter().position(|u| u.values()[0] == t.values()[0]);
+                    match (dup, policy, mate) {
+                        (Some(id), _, _) => {
+                            assert_eq!(out.unwrap(), InsertOutcome::Duplicate(id as u32));
+                        }
+                        (None, ConflictPolicy::Merge, Some(id)) => {
+                            let merged: Option<Vec<Value>> = model[id]
+                                .values()
+                                .iter()
+                                .zip(t.values())
+                                .map(|(a, b)| a.unify(b))
+                                .collect();
+                            match merged {
+                                Some(vals) => {
+                                    assert_eq!(out.unwrap(), InsertOutcome::Merged(id as u32));
+                                    model[id] = Tuple::new(vals);
+                                    if id < model.len() / CHUNK * CHUNK {
+                                        sealed_merges += 1;
+                                    } else {
+                                        tail_merges += 1;
+                                    }
+                                }
+                                None => assert!(out.is_err(), "seed {seed} step {step}"),
+                            }
+                        }
+                        _ => {
+                            let id = model.len();
+                            assert_eq!(out.unwrap(), InsertOutcome::Inserted(id as u32));
+                            model.push(t);
+                            if id % CHUNK == CHUNK - 1 && !snaps.is_empty() {
+                                seals_under_snapshot += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        snaps.iter().for_each(check);
+        assert_eq!(inst.relation("R").unwrap().to_vec(), model, "seed {seed}");
+    }
+    // The workload reached every case it claims to cover.
+    for tail in [0, 1, CHUNK - 1] {
+        assert!(tails_captured.contains(&tail), "no snapshot at tail {tail}");
+    }
+    assert!(
+        sealed_merges > 0 && tail_merges > 0,
+        "{sealed_merges}/{tail_merges}"
+    );
+    assert!(substitutions > 0 && dedups > 0, "{substitutions}/{dedups}");
+    assert!(seals_under_snapshot > 0);
+}
