@@ -2,9 +2,12 @@
 //! trees, reduction and shape keys — the per-tuple cost of the engine.
 
 use sedex_bench::harness::{black_box, criterion_group, criterion_main, Criterion};
+use sedex_core::translate::slot_values;
+use sedex_scenarios::compose::abcd_scenarios;
 use sedex_scenarios::university;
 use sedex_treerep::{
-    post_order_key, reduce_to_relation_tree, relation_tree, tuple_tree, SchemaForest, TreeConfig,
+    post_order_key, reduce_to_relation_tree, relation_tree, repository_key, tuple_tree,
+    SchemaForest, TreeConfig,
 };
 
 fn bench_relation_tree(c: &mut Criterion) {
@@ -42,10 +45,35 @@ fn bench_reduce_and_key(c: &mut Criterion) {
     });
 }
 
+/// What a script-repository hit pays before the script runs: tuple-tree
+/// build, repository key, slot values, and dropping the tree. One
+/// iteration walks 1 001 rows of Fig 12 scenario `d` (143 per relation),
+/// relations in the engine's processing order.
+fn bench_hit_path(c: &mut Criterion) {
+    let sc = abcd_scenarios().swap_remove(3);
+    let inst = sc.populate(143, 3).unwrap();
+    let cfg = TreeConfig::default();
+    let forest = SchemaForest::new(inst.schema(), &cfg).unwrap();
+    let rows: Vec<(&str, u32)> = forest
+        .processing_order()
+        .into_iter()
+        .flat_map(|rel| (0..inst.relation(rel).unwrap().len() as u32).map(move |r| (rel, r)))
+        .collect();
+    c.bench_function("tuple_tree_hit_path_d", |b| {
+        b.iter(|| {
+            for &(rel, row) in &rows {
+                let tt = tuple_tree(black_box(&inst), rel, row, &cfg).unwrap();
+                black_box((repository_key(&tt), slot_values(&tt)));
+            }
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_relation_tree,
     bench_tuple_tree,
-    bench_reduce_and_key
+    bench_reduce_and_key,
+    bench_hit_path
 );
 criterion_main!(benches);

@@ -139,7 +139,7 @@ impl EdexEngine {
 /// rooted at a non-leaf node (plus the whole tree) — as property-name sets,
 /// then prune candidates subsumed by a superset candidate. Returns the
 /// number of survivors.
-fn super_entities(tx: &TupleTree) -> usize {
+fn super_entities(tx: &TupleTree<'_>) -> usize {
     let tree = &tx.tree;
     let mut candidates: Vec<BTreeSet<&str>> = Vec::new();
     for id in tree.preorder() {
@@ -151,7 +151,7 @@ fn super_entities(tx: &TupleTree) -> usize {
         let mut stack = vec![id];
         while let Some(n) = stack.pop() {
             if let PqLabel::Label(node) = tree.label(n) {
-                props.insert(node.prop.as_str());
+                props.insert(node.prop);
             }
             stack.extend(tree.children(n).iter().copied());
         }

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use sedex_mapping::Correspondences;
 use sedex_observe::{Event, Observer, Phase};
 use sedex_storage::{ConflictPolicy, InsertOutcome, Instance, Schema, StorageError, Tuple, Value};
-use sedex_treerep::{tuple_shape_key, tuple_tree, SchemaForest, TreeConfig, TupleTree};
+use sedex_treerep::{repository_key, tuple_tree, SchemaForest, TreeConfig, TupleTree};
 
 use crate::cfd::CfdInterpreter;
 use crate::marking::SeenSet;
@@ -139,7 +139,7 @@ impl std::fmt::Debug for SedexEngine {
 
 /// One executable item of a parallel batch: the (possibly reused) script,
 /// the tuple's slot values, and its pre-assigned fresh labels.
-type ExecItem<'a> = (Arc<Script>, &'a [Value], HashMap<u32, Value>);
+type ExecItem<'a> = (Arc<Script>, &'a [&'a Value], HashMap<u32, Value>);
 
 /// Chunked fork-join map over a slice on scoped threads, preserving item
 /// order. Falls back to a plain serial map when there is nothing to fan
@@ -356,10 +356,7 @@ impl SedexEngine {
                     if cfg.mark_seen {
                         seen.mark_all(&tx.visited);
                     }
-                    let mut key = String::with_capacity(rel_name.len() + 64);
-                    key.push_str(rel_name);
-                    key.push('|');
-                    key.push_str(&tuple_shape_key(&tx));
+                    let key = repository_key(&tx);
                     let script = if cfg.reuse_scripts {
                         repo.lookup(&key)
                     } else {
@@ -452,7 +449,7 @@ impl SedexEngine {
     fn run_batch_parallel(
         &self,
         rel_name: &str,
-        trees: &[(u32, TupleTree)],
+        trees: &[(u32, TupleTree<'_>)],
         matcher: &Matcher,
         target_forest: &SchemaForest,
         sigma: &Correspondences,
@@ -471,12 +468,8 @@ impl SedexEngine {
         let tg0 = Instant::now();
 
         // Stage 1: shape keys and slot values, fanned out.
-        let preps: Vec<(String, Vec<Value>)> = par_map(trees, threads, |(_, tx)| {
-            let mut key = String::with_capacity(rel_name.len() + 64);
-            key.push_str(rel_name);
-            key.push('|');
-            key.push_str(&tuple_shape_key(tx));
-            (key, slot_values(tx))
+        let preps: Vec<(String, Vec<&Value>)> = par_map(trees, threads, |(_, tx)| {
+            (repository_key(tx), slot_values(tx))
         });
 
         // Stage 2: serial planning in row order. Seen-marking must replay
@@ -513,7 +506,7 @@ impl SedexEngine {
         // Σ are immutable. Workers time their own phases; the totals merge
         // below (an aggregate of per-shape CPU time, exactly like the
         // serial engine's per-tuple sums).
-        let miss_trees: Vec<&TupleTree> = missing.iter().map(|&i| &trees[i].1).collect();
+        let miss_trees: Vec<&TupleTree<'_>> = missing.iter().map(|&i| &trees[i].1).collect();
         let generated = par_map(&miss_trees, threads, |tx| {
             let mut wtrace = Trace::new(obs, cfg.slow_exchange_threshold);
             let script = self.generate_for(
@@ -628,7 +621,7 @@ impl SedexEngine {
                     let mut vals = vec![Value::Null; arities[ri]];
                     for &(col, slot) in &st.assignments {
                         vals[col] = match slot {
-                            SlotRef::Src(s) => slots.get(s).cloned().unwrap_or(Value::Null),
+                            SlotRef::Src(s) => slots.get(s).map_or(Value::Null, |&v| v.clone()),
                             SlotRef::Fresh(id) => fresh[&id].clone(),
                         };
                     }
@@ -712,14 +705,14 @@ impl SedexEngine {
     /// Build tuple trees for the unseen rows of one batch, optionally in
     /// parallel. Returns `(row, tree)` pairs in ascending row order, plus
     /// the number of rows skipped because they were already seen.
-    fn build_batch(
+    fn build_batch<'s>(
         &self,
-        src: &Instance,
+        src: &'s Instance,
         rel_name: &str,
         rows: std::ops::Range<u32>,
         seen: &SeenSet,
         tree_cfg: &TreeConfig,
-    ) -> Result<(Vec<(u32, TupleTree)>, usize), StorageError> {
+    ) -> Result<(Vec<(u32, TupleTree<'s>)>, usize), StorageError> {
         let total = rows.len();
         let todo: Vec<u32> = rows
             .filter(|&r| !(self.config.mark_seen && seen.is_seen(rel_name, r)))
@@ -737,7 +730,7 @@ impl SedexEngine {
         }
         let threads = self.config.threads.min(todo.len());
         let chunk = todo.len().div_ceil(threads);
-        let mut out: Vec<Result<Vec<(u32, TupleTree)>, StorageError>> = Vec::new();
+        let mut out: Vec<Result<Vec<(u32, TupleTree<'s>)>, StorageError>> = Vec::new();
         std::thread::scope(|s| {
             let handles: Vec<_> = todo
                 .chunks(chunk)
@@ -763,7 +756,7 @@ impl SedexEngine {
     /// The miss path: Match → translate → generate.
     fn generate_for(
         &self,
-        tx: &TupleTree,
+        tx: &TupleTree<'_>,
         matcher: &Matcher,
         target_forest: &SchemaForest,
         sigma: &Correspondences,
@@ -789,7 +782,7 @@ impl SedexEngine {
     }
 }
 
-fn todo_len(parts: &[Result<Vec<(u32, TupleTree)>, StorageError>]) -> usize {
+fn todo_len(parts: &[Result<Vec<(u32, TupleTree<'_>)>, StorageError>]) -> usize {
     parts.iter().map(|p| p.as_ref().map_or(0, Vec::len)).sum()
 }
 

@@ -54,7 +54,7 @@ impl SeenSet {
     /// Mark every reference visited by a tuple-tree build.
     pub fn mark_all(&mut self, refs: &[SeenRef]) {
         for r in refs {
-            self.mark(&r.relation, r.row);
+            self.mark(r.relation, r.row);
         }
     }
 
@@ -147,11 +147,11 @@ mod tests {
         let mut s = SeenSet::for_instance(&instance());
         s.mark_all(&[
             SeenRef {
-                relation: "R".into(),
+                relation: "R",
                 row: 0,
             },
             SeenRef {
-                relation: "R".into(),
+                relation: "R",
                 row: 2,
             },
         ]);

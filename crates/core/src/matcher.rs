@@ -264,14 +264,14 @@ impl Matcher {
         };
         let mut qualified = Vec::new();
         let mut unqualified = Vec::new();
-        for c in sigma.matches(Some(&n.relation), &n.prop) {
+        for c in sigma.matches(Some(n.relation), n.prop) {
             let id = self.label_id(&c.target.column);
             match &c.target.relation {
                 Some(r) => qualified.push((r.as_str(), id)),
                 None => unqualified.push(id),
             }
         }
-        let otherwise = || match sigma.target_label(Some(&n.relation), &n.prop) {
+        let otherwise = || match sigma.target_label(Some(n.relation), n.prop) {
             Some(t) => self.label_id(t),
             None => self.label_id(&format!("\u{1}src:{}", n.prop)),
         };

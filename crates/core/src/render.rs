@@ -124,7 +124,7 @@ pub fn sql_template(script: &Script, schema: &Schema) -> String {
 /// Render a script as concrete SQL statements for one tuple's slot values.
 /// Surrogates render as `NULL /* surrogate fN */` — a relational engine
 /// would bind them to generated keys.
-pub fn sql_statements(script: &Script, schema: &Schema, values: &[Value]) -> String {
+pub fn sql_statements(script: &Script, schema: &Schema, values: &[&Value]) -> String {
     let mut out = String::new();
     for st in &script.statements {
         let Some(rel) = schema.relation(&st.relation) else {
@@ -139,7 +139,7 @@ pub fn sql_statements(script: &Script, schema: &Schema, values: &[Value]) -> Str
             .assignments
             .iter()
             .map(|&(_, slot)| match slot {
-                SlotRef::Src(i) => sql_literal(values.get(i).unwrap_or(&Value::Null)),
+                SlotRef::Src(i) => sql_literal(values.get(i).copied().unwrap_or(&Value::Null)),
                 SlotRef::Fresh(f) => format!("NULL /* surrogate f{f} */"),
             })
             .collect();

@@ -71,7 +71,8 @@ impl std::ops::AddAssign for RunOutcome {
     }
 }
 
-/// Execute a script against the target with the given slot values.
+/// Execute a script against the target with the given slot values (see
+/// [`crate::translate::slot_values`]); only assigned values are cloned.
 ///
 /// Inserts run under [`ConflictPolicy::Merge`]: primary keys and unique
 /// constraints are checked "before inserting any tuple", and a key-mate is
@@ -81,7 +82,7 @@ impl std::ops::AddAssign for RunOutcome {
 /// Section 4.4.3).
 pub fn run_script(
     script: &Script,
-    values: &[Value],
+    values: &[&Value],
     target: &mut Instance,
     fresh_counter: &mut u64,
 ) -> Result<RunOutcome, StorageError> {
@@ -92,7 +93,7 @@ pub fn run_script(
         let mut vals = vec![Value::Null; arity];
         for &(col, slot) in &st.assignments {
             vals[col] = match slot {
-                SlotRef::Src(i) => values.get(i).cloned().unwrap_or(Value::Null),
+                SlotRef::Src(i) => values.get(i).map_or(Value::Null, |&v| v.clone()),
                 SlotRef::Fresh(id) => fresh
                     .entry(id)
                     .or_insert_with(|| {
@@ -151,20 +152,17 @@ mod tests {
         }
     }
 
-    fn vals(v: &[&str]) -> Vec<Value> {
-        v.iter().map(|s| Value::text(*s)).collect()
+    /// Run `script` with text slot values.
+    fn run(script: &Script, v: &[&str], t: &mut Instance) -> RunOutcome {
+        let owned: Vec<Value> = v.iter().map(|s| Value::text(*s)).collect();
+        let slots: Vec<&Value> = owned.iter().collect();
+        run_script(script, &slots, t, &mut 0).unwrap()
     }
 
     #[test]
     fn script_inserts_with_null_padding() {
         let mut t = target();
-        let out = run_script(
-            &demo_script(),
-            &vals(&["s1", "p1", "c1", "d1"]),
-            &mut t,
-            &mut 0,
-        )
-        .unwrap();
+        let out = run(&demo_script(), &["s1", "p1", "c1", "d1"], &mut t);
         assert_eq!(out.inserted, 2);
         let stu = t.relation("Stu").unwrap().row(0).unwrap();
         assert_eq!(stu, &sedex_storage::tuple!["s1", "p1", Value::Null]);
@@ -173,20 +171,8 @@ mod tests {
     #[test]
     fn reuse_same_script_different_values() {
         let mut t = target();
-        run_script(
-            &demo_script(),
-            &vals(&["s1", "p1", "c1", "d1"]),
-            &mut t,
-            &mut 0,
-        )
-        .unwrap();
-        run_script(
-            &demo_script(),
-            &vals(&["s2", "p2", "c2", "d2"]),
-            &mut t,
-            &mut 0,
-        )
-        .unwrap();
+        run(&demo_script(), &["s1", "p1", "c1", "d1"], &mut t);
+        run(&demo_script(), &["s2", "p2", "c2", "d2"], &mut t);
         assert_eq!(t.relation("Stu").unwrap().len(), 2);
         assert_eq!(t.relation("Reg").unwrap().len(), 2);
     }
@@ -194,21 +180,9 @@ mod tests {
     #[test]
     fn egd_merge_on_key_mate() {
         let mut t = target();
-        run_script(
-            &demo_script(),
-            &vals(&["s1", "p1", "c1", "d1"]),
-            &mut t,
-            &mut 0,
-        )
-        .unwrap();
+        run(&demo_script(), &["s1", "p1", "c1", "d1"], &mut t);
         // Same student key: merged, not duplicated; Reg differs so inserts.
-        let out = run_script(
-            &demo_script(),
-            &vals(&["s1", "p1", "c9", "d9"]),
-            &mut t,
-            &mut 0,
-        )
-        .unwrap();
+        let out = run(&demo_script(), &["s1", "p1", "c9", "d9"], &mut t);
         assert_eq!(t.relation("Stu").unwrap().len(), 1);
         assert_eq!(t.relation("Reg").unwrap().len(), 2);
         assert_eq!(out.merged + out.duplicates, 1);
@@ -217,20 +191,8 @@ mod tests {
     #[test]
     fn egd_violation_keeps_existing() {
         let mut t = target();
-        run_script(
-            &demo_script(),
-            &vals(&["s1", "p1", "c1", "d1"]),
-            &mut t,
-            &mut 0,
-        )
-        .unwrap();
-        let out = run_script(
-            &demo_script(),
-            &vals(&["s1", "DIFFERENT", "c1", "d1"]),
-            &mut t,
-            &mut 0,
-        )
-        .unwrap();
+        run(&demo_script(), &["s1", "p1", "c1", "d1"], &mut t);
+        let out = run(&demo_script(), &["s1", "DIFFERENT", "c1", "d1"], &mut t);
         assert_eq!(out.violations, 1);
         assert_eq!(
             t.relation("Stu").unwrap().row(0).unwrap().values()[1],
@@ -247,7 +209,7 @@ mod tests {
                 assignments: vec![(0, SlotRef::Src(0)), (1, SlotRef::Src(99))],
             }],
         };
-        run_script(&s, &vals(&["s1"]), &mut t, &mut 0).unwrap();
+        run(&s, &["s1"], &mut t);
         assert_eq!(
             t.relation("Stu").unwrap().row(0).unwrap().values()[1],
             Value::Null

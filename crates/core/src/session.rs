@@ -21,7 +21,7 @@ use sedex_mapping::Correspondences;
 use sedex_observe::{Event, Observer, Phase};
 use sedex_storage::relation::RowId;
 use sedex_storage::{ConflictPolicy, Instance, InstanceSnapshot, Schema, StorageError, Tuple};
-use sedex_treerep::{tuple_shape_key, tuple_tree, SchemaForest, TreeConfig};
+use sedex_treerep::{repository_key, tuple_tree, SchemaForest, TreeConfig};
 
 use crate::cfd::CfdInterpreter;
 use crate::engine::SedexConfig;
@@ -256,13 +256,13 @@ impl SedexSession {
         trace.end(Phase::TreeBuild, tb);
         if self.config.mark_seen {
             for v in &tx.visited {
-                self.seen.ensure_capacity(&v.relation, (v.row + 1) as usize);
+                self.seen.ensure_capacity(v.relation, (v.row + 1) as usize);
             }
             self.seen.mark_all(&tx.visited);
             self.seen.ensure_capacity(relation, (row + 1) as usize);
             self.seen.mark(relation, row);
         }
-        let key = format!("{}|{}", relation, tuple_shape_key(&tx));
+        let key = repository_key(&tx);
         let dropped_before = self.repo.events_dropped();
         let script = if self.config.reuse_scripts {
             self.repo.lookup(&key)

@@ -242,10 +242,10 @@ fn find_source(
         };
         let hit = match owner {
             Some(owner_rel) => sigma
-                .target_in_relation(Some(&n.relation), &n.prop, owner_rel, |c| c == prop)
+                .target_in_relation(Some(n.relation), n.prop, owner_rel, |c| c == prop)
                 .map(|t| t == prop)
                 .unwrap_or(false),
-            None => sigma.target_label(Some(&n.relation), &n.prop) == Some(prop),
+            None => sigma.target_label(Some(n.relation), n.prop) == Some(prop),
         };
         if hit {
             used[slot] = true;
@@ -256,15 +256,17 @@ fn find_source(
 }
 
 /// The preorder value vector of a source tuple tree — the substitution data
-/// a reused script consumes. Dummy nodes contribute an SQL null placeholder
-/// (never referenced by any slot).
-pub fn slot_values(tx: &TupleTree) -> Vec<Value> {
+/// a reused script consumes, borrowed from the tree's instance (a script
+/// run clones only the values its statements assign). Dummy nodes
+/// contribute an SQL null placeholder (never referenced by any slot).
+pub fn slot_values<'a>(tx: &TupleTree<'a>) -> Vec<&'a Value> {
+    static NULL: Value = Value::Null;
+    // Tuple-tree node ids are preorder indexes: arena order is slot order.
     tx.tree
-        .preorder()
-        .into_iter()
-        .map(|id| match tx.tree.label(id) {
-            PqLabel::Label(n) => n.value.clone(),
-            PqLabel::Dummy => Value::Null,
+        .labels()
+        .map(|(_, l)| match l {
+            PqLabel::Label(n) => n.value,
+            PqLabel::Dummy => &NULL,
         })
         .collect()
 }
@@ -383,7 +385,7 @@ mod tests {
             if let PqLabel::Label(n) = l {
                 if let SlotRef::Src(_) = n.src {
                     assert!(
-                        tx.nodes().any(|sn| sn.value == n.value),
+                        tx.nodes().any(|sn| *sn.value == n.value),
                         "unsound value {:?}",
                         n
                     );
@@ -503,7 +505,7 @@ mod tests {
                 let SlotRef::Src(slot) = n.src else {
                     panic!("unexpected surrogate in fully-matched tree");
                 };
-                assert_eq!(values[slot], n.value, "slot {slot} mismatch");
+                assert_eq!(*values[slot], n.value, "slot {slot} mismatch");
             }
         }
     }

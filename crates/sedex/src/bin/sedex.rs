@@ -564,7 +564,7 @@ fn run_exchange(file: &ScenarioFile, flags: &[String]) -> Result<(), String> {
         use sedex::core::scriptgen::generate_script;
         use sedex::core::translate::{slot_values, translate};
         use sedex::core::Matcher;
-        use sedex::treerep::{post_order_key, reduce_to_relation_tree, tuple_tree, SchemaForest};
+        use sedex::treerep::{repository_key, tuple_tree, SchemaForest};
         let cfg = TreeConfig::default();
         let forest = SchemaForest::new(&s.target, &cfg).map_err(|e| e.to_string())?;
         let matcher = Matcher::new(&forest, 2, 1);
@@ -573,7 +573,7 @@ fn run_exchange(file: &ScenarioFile, flags: &[String]) -> Result<(), String> {
         for (rel, inst) in file.instance.relations() {
             for row in 0..inst.len() as u32 {
                 let tx = tuple_tree(&file.instance, rel, row, &cfg).map_err(|e| e.to_string())?;
-                let key = format!("{rel}|{}", post_order_key(&reduce_to_relation_tree(&tx)));
+                let key = repository_key(&tx);
                 if !seen_shapes.insert(key.clone()) {
                     continue;
                 }

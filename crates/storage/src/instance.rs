@@ -8,7 +8,7 @@ use std::sync::Arc;
 use crate::error::StorageError;
 use crate::relation::RelationInstance;
 use crate::rows::Rows;
-use crate::schema::Schema;
+use crate::schema::{ForeignKey, Schema};
 use crate::stats::InstanceStats;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -196,25 +196,9 @@ impl Instance {
         fk_idx: usize,
         tuple: &Tuple,
     ) -> Option<(&'a str, &'a Tuple)> {
-        let rel_schema = self.schema.relation(relation)?;
-        let fk = rel_schema.foreign_keys.get(fk_idx)?;
-        let key_vals = tuple.project(&fk.columns);
-        if key_vals.iter().any(Value::is_any_null) {
-            return None;
-        }
-        let target = self.relations.get(&fk.ref_relation)?;
-        // Fast path: the FK targets the referenced relation's primary key.
-        let hit = if fk.ref_columns == target.schema().primary_key
-            && !target.schema().primary_key.is_empty()
-        {
-            target.lookup_pk(&key_vals)
-        } else {
-            target
-                .scan_eq(&fk.ref_columns, &key_vals)
-                .into_iter()
-                .next()
-        };
-        hit.map(|t| (fk.ref_relation.as_str(), t))
+        let fk = self.schema.relation(relation)?.foreign_keys.get(fk_idx)?;
+        let (target, id) = self.follow_fk(fk, tuple)?;
+        Some((fk.ref_relation.as_str(), &target.rows()[id as usize]))
     }
 
     /// Like [`Instance::deref_fk`], but returns the referenced row's id so
@@ -225,24 +209,24 @@ impl Instance {
         fk_idx: usize,
         tuple: &Tuple,
     ) -> Option<(&str, crate::relation::RowId)> {
-        let rel_schema = self.schema.relation(relation)?;
-        let fk = rel_schema.foreign_keys.get(fk_idx)?;
-        let key_vals = tuple.project(&fk.columns);
-        if key_vals.iter().any(Value::is_any_null) {
-            return None;
-        }
+        let fk = self.schema.relation(relation)?.foreign_keys.get(fk_idx)?;
+        let (_, id) = self.follow_fk(fk, tuple)?;
+        Some((fk.ref_relation.as_str(), id))
+    }
+
+    /// Follow foreign key `fk` from `tuple`: the referenced relation and the
+    /// lowest row id whose referenced columns equal the tuple's FK columns.
+    /// The key is read in place, never projected into a fresh tuple; a
+    /// primary-key reference probes the key index, any other one scans.
+    /// `None` for a null FK value or a dangling reference.
+    pub fn follow_fk(
+        &self,
+        fk: &ForeignKey,
+        tuple: &Tuple,
+    ) -> Option<(&RelationInstance, crate::relation::RowId)> {
         let target = self.relations.get(&fk.ref_relation)?;
-        let hit = if fk.ref_columns == target.schema().primary_key
-            && !target.schema().primary_key.is_empty()
-        {
-            target.lookup_pk_id(&key_vals)
-        } else {
-            target
-                .scan_eq_ids(&fk.ref_columns, &key_vals)
-                .into_iter()
-                .next()
-        };
-        hit.map(|id| (fk.ref_relation.as_str(), id))
+        let id = target.find_referenced(&fk.ref_columns, tuple, &fk.columns)?;
+        Some((target, id))
     }
 
     /// Total number of tuples across relations.
@@ -404,6 +388,23 @@ mod tests {
         let inst = Instance::new(two_rel_schema());
         let a_tuple = tuple!["a1", "missing"];
         assert!(inst.deref_fk("A", 0, &a_tuple).is_none());
+    }
+
+    #[test]
+    fn deref_fk_to_non_key_columns_takes_lowest_matching_row() {
+        let mut schema = two_rel_schema();
+        schema.add_foreign_key("A", &["id"], "B", &["val"]).unwrap();
+        let mut inst = Instance::new(schema);
+        for t in [tuple!["b1", "x"], tuple!["b2", "a1"], tuple!["b3", "a1"]] {
+            inst.insert("B", t, ConflictPolicy::Reject).unwrap();
+        }
+        let a_tuple = tuple!["a1", Value::Null];
+        assert_eq!(inst.deref_fk_row("A", 1, &a_tuple), Some(("B", 1)));
+        assert_eq!(
+            inst.deref_fk("A", 1, &a_tuple).unwrap().1,
+            &tuple!["b2", "a1"]
+        );
+        assert!(inst.deref_fk_row("A", 1, &tuple!["zz", "b1"]).is_none());
     }
 
     #[test]

@@ -210,17 +210,32 @@ impl RelationInstance {
         )
     }
 
-    /// Like [`RelationInstance::scan_eq`], returning row ids.
-    pub fn scan_eq_ids(&self, cols: &[usize], vals: &[Value]) -> Vec<RowId> {
-        if vals.iter().any(|v| v.is_any_null()) {
-            return Vec::new();
+    /// The lowest row id whose columns `cols` equal `tuple`'s columns
+    /// `tuple_cols`, pairwise — a foreign key's referenced and referencing
+    /// columns. The key is compared in place: through the primary-key index
+    /// when `cols` is the primary key, else by a scan. Keys containing nulls
+    /// never match.
+    pub(crate) fn find_referenced(
+        &self,
+        cols: &[usize],
+        tuple: &Tuple,
+        tuple_cols: &[usize],
+    ) -> Option<RowId> {
+        let key = key_of(tuple, tuple_cols);
+        if !cols.is_empty() && cols == self.schema.primary_key.as_slice() {
+            return Self::find_by_key(&self.pk_index, &self.rows, cols, key);
+        }
+        if key.clone().any(Value::is_any_null) {
+            return None;
         }
         self.rows
             .iter()
-            .enumerate()
-            .filter(|(_, t)| cols.iter().zip(vals).all(|(&c, v)| &t.values()[c] == v))
-            .map(|(id, _)| id as RowId)
-            .collect()
+            .position(|t| {
+                cols.iter()
+                    .zip(key.clone())
+                    .all(|(&c, v)| &t.values()[c] == v)
+            })
+            .map(|id| id as RowId)
     }
 
     /// Look up rows by arbitrary columns with a linear scan. Used for

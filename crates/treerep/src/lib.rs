@@ -16,8 +16,7 @@
 //! * **reduction** ([`reduce`]) — `RT(Tt)`, the schema-level view of a tuple
 //!   tree obtained by replacing `(property : value)` with `property`;
 //! * **shape keys** ([`shape`]) — the post-order string representation of
-//!   `RT(Tt)` that keys the script repository (Section 4.4.2), plus the
-//!   compact sequential encoding used to reuse scripts across relations.
+//!   `RT(Tt)` that keys the script repository (Section 4.4.2).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +30,7 @@ pub mod tuple_tree;
 pub use forest::SchemaForest;
 pub use reduce::reduce_to_relation_tree;
 pub use relation_tree::{relation_tree, RelationTree, TreeConfig};
-pub use shape::{post_order_key, sequential_encoding, tuple_shape_key};
+pub use shape::{post_order_key, repository_key, tuple_shape_key};
 pub use tuple_tree::{tuple_tree, SeenRef, TupleNode, TupleTree};
 
 /// Label type shared by relation and tuple trees: real labels wrapped in

@@ -16,10 +16,10 @@ pub fn reduce_to_relation_tree(tt: &TupleTree) -> Tree<SchemaLabel> {
 }
 
 /// Reduce a raw tuple-node tree to schema labels.
-pub fn reduce_tree(tree: &Tree<PqLabel<TupleNode>>) -> Tree<SchemaLabel> {
+pub fn reduce_tree(tree: &Tree<PqLabel<TupleNode<'_>>>) -> Tree<SchemaLabel> {
     tree.map_labels(|l| match l {
         PqLabel::Dummy => PqLabel::Dummy,
-        PqLabel::Label(n) => PqLabel::Label(n.prop.clone()),
+        PqLabel::Label(n) => PqLabel::Label(n.prop.to_owned()),
     })
 }
 

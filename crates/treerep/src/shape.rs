@@ -5,14 +5,8 @@
 //! input tuple tree". Two tuple trees with the same key have identical
 //! structure and property names, so the script generated for one can be
 //! replayed for the other by substituting values.
-//!
-//! For reuse *across* relations (same hierarchy, different property names)
-//! the paper uses "the sequential representation of a tree … with the
-//! minimum information needed to reconstruct the tree structure": since
-//! tuple trees are general trees, the encoding records each node's child
-//! count alongside the traversal.
 
-use sedex_pqgram::{PqLabel, Tree};
+use sedex_pqgram::{NodeId, PqLabel, Tree};
 
 use crate::tuple_tree::TupleTree;
 use crate::SchemaLabel;
@@ -24,50 +18,51 @@ use crate::SchemaLabel;
 /// `"program building dep degree building profdep supervisor sname"`,
 /// exactly as printed in Section 4.4.2. A dummy root contributes `*`.
 pub fn post_order_key(tree: &Tree<SchemaLabel>) -> String {
-    let order = tree.postorder();
-    let mut s = String::with_capacity(order.len() * 8);
-    for (i, id) in order.iter().enumerate() {
-        if i > 0 {
-            s.push(' ');
-        }
-        s.push_str(&tree.label(*id).to_string());
-    }
+    let mut s = String::with_capacity(tree.len() * 8);
+    write_post_order(tree, tree.root(), &|l: &String| l, &mut s);
     s
 }
 
-/// The post-order shape key of a tuple tree, computed directly — equivalent
-/// to `post_order_key(&reduce_to_relation_tree(tt))` without materializing
-/// the reduced tree. This is the hot path of the engine: one call per
-/// source tuple.
-pub fn tuple_shape_key(tt: &TupleTree) -> String {
-    let order = tt.tree.postorder();
-    let mut s = String::with_capacity(order.len() * 8);
-    for (i, id) in order.iter().enumerate() {
-        if i > 0 {
-            s.push(' ');
-        }
-        match tt.tree.label(*id) {
-            PqLabel::Dummy => s.push('*'),
-            PqLabel::Label(n) => s.push_str(&n.prop),
-        }
-    }
+/// The post-order shape key of a tuple tree, computed directly — equal to
+/// `post_order_key(&reduce_to_relation_tree(tt))` without materializing
+/// the reduced tree.
+pub fn tuple_shape_key(tt: &TupleTree<'_>) -> String {
+    let mut s = String::with_capacity(tt.tree.len() * 8);
+    write_tuple_shape(tt, &mut s);
     s
 }
 
-/// Structure-only sequential encoding: post-order child counts, no labels.
-/// Keys the cross-relation script cache — two trees with the same encoding
-/// are isomorphic as ordered trees, so a script's hierarchy can be rewritten
-/// with new property names and values (Section 4.4.2, "Reusing Scripts").
-pub fn sequential_encoding(tree: &Tree<SchemaLabel>) -> String {
-    let order = tree.postorder();
-    let mut s = String::with_capacity(order.len() * 3);
-    for (i, id) in order.iter().enumerate() {
-        if i > 0 {
-            s.push(' ');
-        }
-        s.push_str(&tree.children(*id).len().to_string());
-    }
+/// The script-repository key of a tuple tree: its relation, `|`, then its
+/// shape key — one string, written in one pass. This is the hot path of
+/// the engine: one call per source tuple.
+pub fn repository_key(tt: &TupleTree<'_>) -> String {
+    let mut s = String::with_capacity(tt.relation.len() + 1 + tt.tree.len() * 8);
+    s.push_str(tt.relation);
+    s.push('|');
+    write_tuple_shape(tt, &mut s);
     s
+}
+
+fn write_tuple_shape(tt: &TupleTree<'_>, out: &mut String) {
+    write_post_order(&tt.tree, tt.tree.root(), &|n| n.prop, out);
+}
+
+/// Append the labels of the subtree at `id` in post-order, separated by
+/// single spaces; `name` reads a real label, a dummy writes `*`.
+fn write_post_order<L>(
+    tree: &Tree<PqLabel<L>>,
+    id: NodeId,
+    name: &impl Fn(&L) -> &str,
+    out: &mut String,
+) {
+    for &c in tree.children(id) {
+        write_post_order(tree, c, name, out);
+        out.push(' ');
+    }
+    out.push_str(match tree.label(id) {
+        PqLabel::Dummy => "*",
+        PqLabel::Label(l) => name(l),
+    });
 }
 
 #[cfg(test)]
@@ -125,6 +120,10 @@ mod tests {
         );
         // The direct tuple-tree key agrees with the reduce-then-key path.
         assert_eq!(tuple_shape_key(&tt), post_order_key(&rt));
+        assert_eq!(
+            repository_key(&tt),
+            "Student|program building dep degree building profdep supervisor sname"
+        );
     }
 
     #[test]
@@ -176,28 +175,6 @@ mod tests {
         ));
         assert_ne!(k_full, k_null);
         assert_eq!(k_null, "program building dep sname");
-    }
-
-    #[test]
-    fn sequential_encoding_reconstructs_structure() {
-        // Two trees, same shape, different labels → same encoding; a third
-        // with different shape → different encoding.
-        let mut a = Tree::new(PqLabel::Label("r".to_string()));
-        let x = a.add_child(0, PqLabel::Label("x".into()));
-        a.add_child(0, PqLabel::Label("y".into()));
-        a.add_child(x, PqLabel::Label("z".into()));
-
-        let mut b = Tree::new(PqLabel::Label("q".to_string()));
-        let m = b.add_child(0, PqLabel::Label("m".into()));
-        b.add_child(0, PqLabel::Label("n".into()));
-        b.add_child(m, PqLabel::Label("o".into()));
-
-        let mut c = Tree::new(PqLabel::Label("r".to_string()));
-        c.add_child(0, PqLabel::Label("x".into()));
-        c.add_child(0, PqLabel::Label("y".into()));
-
-        assert_eq!(sequential_encoding(&a), sequential_encoding(&b));
-        assert_ne!(sequential_encoding(&a), sequential_encoding(&c));
     }
 
     #[test]

@@ -7,28 +7,28 @@
 //! downstream expansion) is created — this is what lets the `Match` function
 //! disambiguate generalization scenarios (Section 4.5).
 
-use std::collections::HashSet;
 use std::fmt;
 
 use sedex_pqgram::{PqLabel, Tree};
 use sedex_storage::relation::RowId;
-use sedex_storage::{Instance, StorageError, Tuple, Value};
+use sedex_storage::{Instance, RelationSchema, StorageError, Tuple, Value};
 
 use crate::relation_tree::TreeConfig;
 
-/// A node of a tuple tree: a `(property : value)` pair.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TupleNode {
+/// A node of a tuple tree: a `(property : value)` pair, borrowed from the
+/// instance the tree was built from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct TupleNode<'a> {
     /// Property (column) name.
-    pub prop: String,
+    pub prop: &'a str,
     /// The property's value (never an SQL null when `prune_nulls` is on).
-    pub value: Value,
+    pub value: &'a Value,
     /// The relation this property belongs to — needed to resolve
     /// relation-qualified correspondences during matching and translation.
-    pub relation: String,
+    pub relation: &'a str,
 }
 
-impl fmt::Display for TupleNode {
+impl fmt::Display for TupleNode<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}", self.prop, self.value)
     }
@@ -37,28 +37,33 @@ impl fmt::Display for TupleNode {
 /// A reference to a tuple visited while building a tuple tree — used by the
 /// engine to mark tuples as *seen* so they are not re-processed when their
 /// own relation's turn comes (Section 4.2).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SeenRef {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SeenRef<'a> {
     /// Relation of the visited tuple.
-    pub relation: String,
+    pub relation: &'a str,
     /// Row id of the visited tuple within that relation's instance.
     pub row: RowId,
 }
 
 /// A tuple tree plus the set of referenced tuples visited while building it.
+///
+/// The tree borrows every name and value from the [`Instance`] (and its
+/// schema) it was built from: building it copies no string or value, and
+/// the instance cannot change while the tree is alive.
 #[derive(Debug, Clone)]
-pub struct TupleTree {
+pub struct TupleTree<'a> {
     /// The relation the root tuple belongs to.
-    pub relation: String,
+    pub relation: &'a str,
     /// The tree; the root may be a dummy when the relation has no
-    /// single-column key.
-    pub tree: Tree<PqLabel<TupleNode>>,
+    /// single-column key. Nodes are added depth-first, so a node's id is
+    /// its preorder index.
+    pub tree: Tree<PqLabel<TupleNode<'a>>>,
     /// Every *referenced* tuple reached through foreign keys (the root tuple
-    /// itself is not included).
-    pub visited: Vec<SeenRef>,
+    /// itself is not included), each once, in first-visit order.
+    pub visited: Vec<SeenRef<'a>>,
 }
 
-impl TupleTree {
+impl<'a> TupleTree<'a> {
     /// Tree height in nodes.
     pub fn height(&self) -> usize {
         self.tree.height()
@@ -66,7 +71,7 @@ impl TupleTree {
 
     /// Iterate all `(property, value)` pairs of the tree (excluding the
     /// dummy root, if any).
-    pub fn nodes(&self) -> impl Iterator<Item = &TupleNode> {
+    pub fn nodes(&self) -> impl Iterator<Item = &TupleNode<'a>> {
         self.tree.labels().filter_map(|(_, l)| match l {
             PqLabel::Label(n) => Some(n),
             PqLabel::Dummy => None,
@@ -75,12 +80,12 @@ impl TupleTree {
 }
 
 /// Build the tuple tree of row `row` of `relation` in `instance` (Def. 3).
-pub fn tuple_tree(
-    instance: &Instance,
+pub fn tuple_tree<'a>(
+    instance: &'a Instance,
     relation: &str,
     row: RowId,
     config: &TreeConfig,
-) -> Result<TupleTree, StorageError> {
+) -> Result<TupleTree<'a>, StorageError> {
     let rel_inst = instance.relation_or_err(relation)?;
     let tuple = rel_inst
         .row(row)
@@ -90,138 +95,112 @@ pub fn tuple_tree(
 
 /// Build the tuple tree of an explicit tuple (which must conform to
 /// `relation`'s schema). `row` is used only for cycle prevention bookkeeping.
-pub fn tuple_tree_of(
-    instance: &Instance,
+pub fn tuple_tree_of<'a>(
+    instance: &'a Instance,
     relation: &str,
     row: RowId,
-    tuple: &Tuple,
+    tuple: &'a Tuple,
     config: &TreeConfig,
-) -> Result<TupleTree, StorageError> {
+) -> Result<TupleTree<'a>, StorageError> {
     let schema = instance.schema().relation_or_err(relation)?;
+    let relation = schema.name.as_str();
     let root_key = schema.single_column_key();
-    let mut tree = match root_key {
-        Some(k) => Tree::new(PqLabel::Label(TupleNode {
-            prop: schema.columns[k].name.clone(),
-            value: tuple.values()[k].clone(),
-            relation: relation.to_owned(),
-        })),
-        None => Tree::new(PqLabel::Dummy),
-    };
-    let root = tree.root();
-    let mut visited_set: HashSet<SeenRef> = HashSet::new();
-    let mut visited = Vec::new();
-    let mut path = vec![(relation.to_owned(), row)];
-
+    let label = |i: usize| PqLabel::Label(node(schema, tuple, i));
     let mut ctx = BuildCtx {
         instance,
         config,
-        visited_set: &mut visited_set,
-        visited: &mut visited,
+        tree: Tree::new(root_key.map_or(PqLabel::Dummy, label)),
+        visited: Vec::new(),
+        path: vec![(relation, row)],
     };
-
-    for (i, col) in schema.columns.iter().enumerate() {
-        if root_key == Some(i) {
-            continue;
-        }
-        let v = &tuple.values()[i];
-        if v.is_null() && config.prune_nulls {
+    let root = ctx.tree.root();
+    for i in 0..schema.columns.len() {
+        if root_key == Some(i) || ctx.pruned(&tuple.values()[i]) {
             continue; // "not having a property is not a property"
         }
-        let node = tree.add_child(
-            root,
-            PqLabel::Label(TupleNode {
-                prop: col.name.clone(),
-                value: v.clone(),
-                relation: relation.to_owned(),
-            }),
-        );
-        ctx.expand(relation, tuple, i, &mut tree, node, &mut path, 2)?;
+        let child = ctx.tree.add_child(root, label(i));
+        ctx.expand(schema, tuple, i, child, 2);
     }
     if let Some(k) = root_key {
-        ctx.expand(relation, tuple, k, &mut tree, root, &mut path, 1)?;
+        ctx.expand(schema, tuple, k, root, 1);
     }
-
     Ok(TupleTree {
-        relation: relation.to_owned(),
-        tree,
-        visited,
+        relation,
+        tree: ctx.tree,
+        visited: ctx.visited,
     })
 }
 
-struct BuildCtx<'a> {
-    instance: &'a Instance,
-    config: &'a TreeConfig,
-    visited_set: &'a mut HashSet<SeenRef>,
-    visited: &'a mut Vec<SeenRef>,
+/// The node for column `i` of `tuple`, a tuple of `schema`.
+fn node<'a>(schema: &'a RelationSchema, tuple: &'a Tuple, i: usize) -> TupleNode<'a> {
+    TupleNode {
+        prop: &schema.columns[i].name,
+        value: &tuple.values()[i],
+        relation: &schema.name,
+    }
 }
 
-impl BuildCtx<'_> {
-    /// If column `col` of `relation` starts foreign keys, dereference them
-    /// for `tuple` and hang the referenced tuples' non-key properties under
-    /// `node`.
-    #[allow(clippy::too_many_arguments)]
+struct BuildCtx<'a, 'c> {
+    instance: &'a Instance,
+    config: &'c TreeConfig,
+    tree: Tree<PqLabel<TupleNode<'a>>>,
+    visited: Vec<SeenRef<'a>>,
+    /// The tuples from the root down to the node being expanded, for cycle
+    /// prevention.
+    path: Vec<(&'a str, RowId)>,
+}
+
+impl<'a> BuildCtx<'a, '_> {
+    fn pruned(&self, v: &Value) -> bool {
+        v.is_null() && self.config.prune_nulls
+    }
+
+    /// If column `col` of `tuple` (a tuple of `schema`) starts foreign
+    /// keys, dereference them and hang the referenced tuples' non-key
+    /// properties under `node_id`.
     fn expand(
         &mut self,
-        relation: &str,
-        tuple: &Tuple,
+        schema: &'a RelationSchema,
+        tuple: &'a Tuple,
         col: usize,
-        tree: &mut Tree<PqLabel<TupleNode>>,
-        node: usize,
-        path: &mut Vec<(String, RowId)>,
+        node_id: usize,
         depth: usize,
-    ) -> Result<(), StorageError> {
+    ) {
         if depth >= self.config.max_depth {
-            return Ok(());
+            return;
         }
-        let schema = self.instance.schema().relation_or_err(relation)?;
-        for (fk_idx, fk) in schema.foreign_keys.iter().enumerate() {
+        for fk in &schema.foreign_keys {
             if fk.columns.first() != Some(&col) {
                 continue;
             }
-            let Some((ref_rel, ref_row)) = self.instance.deref_fk_row(relation, fk_idx, tuple)
-            else {
+            let Some((ref_inst, ref_row)) = self.instance.follow_fk(fk, tuple) else {
                 continue; // null FK ("nonexistent") or dangling reference
             };
-            let ref_rel = ref_rel.to_owned();
-            if path.iter().any(|(r, id)| r == &ref_rel && *id == ref_row) {
-                continue; // cycle in the data graph
-            }
+            let ref_schema = ref_inst.schema();
             let seen = SeenRef {
-                relation: ref_rel.clone(),
+                relation: ref_schema.name.as_str(),
                 row: ref_row,
             };
-            if self.visited_set.insert(seen.clone()) {
+            if self.path.contains(&(seen.relation, seen.row)) {
+                continue; // cycle in the data graph
+            }
+            if !self.visited.contains(&seen) {
                 self.visited.push(seen);
             }
-            let target_schema = self.instance.schema().relation_or_err(&ref_rel)?;
-            let ref_tuple = self
-                .instance
-                .relation_or_err(&ref_rel)?
-                .row(ref_row)
-                .expect("deref_fk_row returned a valid row id")
-                .clone();
-            path.push((ref_rel.clone(), ref_row));
-            for (j, tcol) in target_schema.columns.iter().enumerate() {
-                if fk.ref_columns.contains(&j) {
-                    continue; // the referenced key is `node` itself
-                }
-                let v = &ref_tuple.values()[j];
-                if v.is_null() && self.config.prune_nulls {
+            let ref_tuple = &ref_inst.rows()[ref_row as usize];
+            self.path.push((seen.relation, seen.row));
+            for j in 0..ref_schema.columns.len() {
+                // The referenced key is `node_id` itself.
+                if fk.ref_columns.contains(&j) || self.pruned(&ref_tuple.values()[j]) {
                     continue;
                 }
-                let child = tree.add_child(
-                    node,
-                    PqLabel::Label(TupleNode {
-                        prop: tcol.name.clone(),
-                        value: v.clone(),
-                        relation: ref_rel.clone(),
-                    }),
-                );
-                self.expand(&ref_rel, &ref_tuple, j, tree, child, path, depth + 1)?;
+                let child = self
+                    .tree
+                    .add_child(node_id, PqLabel::Label(node(ref_schema, ref_tuple, j)));
+                self.expand(ref_schema, ref_tuple, j, child, depth + 1);
             }
-            path.pop();
+            self.path.pop();
         }
-        Ok(())
     }
 }
 
@@ -356,13 +335,9 @@ mod tests {
         // though it is reached via both dep and profdep) — Section 4.2.
         let inst = university();
         let tt = tuple_tree(&inst, "Student", 0, &TreeConfig::default()).unwrap();
-        let mut v: Vec<(String, RowId)> = tt
-            .visited
-            .iter()
-            .map(|s| (s.relation.clone(), s.row))
-            .collect();
+        let mut v: Vec<(&str, RowId)> = tt.visited.iter().map(|s| (s.relation, s.row)).collect();
         v.sort();
-        assert_eq!(v, vec![("Dep".to_string(), 0), ("Prof".to_string(), 0)]);
+        assert_eq!(v, vec![("Dep", 0), ("Prof", 0)]);
     }
 
     #[test]

@@ -130,7 +130,7 @@ fn visited_refs_are_valid() {
         for r in 0..rows as u32 {
             let tt = tuple_tree(&inst, "Fact", r, &TreeConfig::default()).unwrap();
             for v in &tt.visited {
-                let rel = inst.relation(&v.relation).expect("relation exists");
+                let rel = inst.relation(v.relation).expect("relation exists");
                 assert!(rel.row(v.row).is_some(), "seed {seed}");
             }
         }

@@ -143,13 +143,13 @@ mod reference {
             PqLabel::Label(n) => {
                 for rel in target_span {
                     if let Some(t) =
-                        sigma.target_in_relation(Some(&n.relation), &n.prop, rel, |_| false)
+                        sigma.target_in_relation(Some(n.relation), n.prop, rel, |_| false)
                     {
                         return PqLabel::Label(t.to_owned());
                     }
                 }
                 let mut fallback: Option<&str> = None;
-                for c in sigma.matches(Some(&n.relation), &n.prop) {
+                for c in sigma.matches(Some(n.relation), n.prop) {
                     if c.target.relation.is_none() {
                         if target_labels.contains(&c.target.column) {
                             return PqLabel::Label(c.target.column.clone());
@@ -159,7 +159,7 @@ mod reference {
                         }
                     }
                 }
-                match fallback.or_else(|| sigma.target_label(Some(&n.relation), &n.prop)) {
+                match fallback.or_else(|| sigma.target_label(Some(n.relation), n.prop)) {
                     Some(t) => PqLabel::Label(t.to_owned()),
                     None => PqLabel::Label(format!("\u{1}src:{}", n.prop)),
                 }
@@ -180,7 +180,7 @@ const PARAMS: [(usize, usize, Option<usize>); 6] = [
 ];
 
 /// One tuple tree per distinct shape over every row of the instances.
-fn distinct_shapes(instances: &[Instance]) -> Vec<TupleTree> {
+fn distinct_shapes(instances: &[Instance]) -> Vec<TupleTree<'_>> {
     let cfg = TreeConfig::default();
     let mut seen = HashSet::new();
     let mut out = Vec::new();
@@ -242,12 +242,13 @@ fn assert_agree(
     }
 }
 
-fn shapes_of(sc: &Scenario, tuples: usize, seeds: &[u64]) -> Vec<TupleTree> {
-    let instances: Vec<Instance> = seeds
+/// One source instance of `sc` per seed. Tuple trees borrow their
+/// instance, so callers keep these alive while they use the trees.
+fn populate(sc: &Scenario, tuples: usize, seeds: &[u64]) -> Vec<Instance> {
+    seeds
         .iter()
         .map(|&seed| sc.populate(tuples, seed).unwrap())
-        .collect();
-    distinct_shapes(&instances)
+        .collect()
 }
 
 /// STB with every nullable non-key source column null half the time, so
@@ -271,7 +272,8 @@ fn stb_with_nulls() -> Scenario {
 #[test]
 fn stb_with_nulls_agrees() {
     let sc = stb_with_nulls();
-    let trees = shapes_of(&sc, 1, &[3, 11, 29]);
+    let instances = populate(&sc, 1, &[3, 11, 29]);
+    let trees = distinct_shapes(&instances);
     assert_agree("STB, 50% nulls", &sc.target, &sc.sigma, &trees);
 }
 
@@ -311,21 +313,24 @@ fn stb_with_candidate_dependent_labels_agrees() {
         .add_names(sources[2].columns[0].name.clone(), "aa_nowhere");
     sc.sigma
         .add_names(sources[2].columns[0].name.clone(), "mm_nowhere");
-    let trees = shapes_of(&sc, 1, &[5, 17]);
+    let instances = populate(&sc, 1, &[5, 17]);
+    let trees = distinct_shapes(&instances);
     assert_agree("STB, dependent labels", &sc.target, &sc.sigma, &trees);
 }
 
 #[test]
 fn amb_agrees() {
     let sc = ambiguity::amb(&IbenchConfig::default(), 4);
-    let trees = shapes_of(&sc, 1, &[7]);
+    let instances = populate(&sc, 1, &[7]);
+    let trees = distinct_shapes(&instances);
     assert_agree("AMB", &sc.target, &sc.sigma, &trees);
 }
 
 #[test]
 fn university_fig3_agrees() {
     let sc = university::scenario();
-    let trees = distinct_shapes(&[university::fig3_instance().unwrap()]);
+    let instances = [university::fig3_instance().unwrap()];
+    let trees = distinct_shapes(&instances);
     assert_agree("university Fig 3", &sc.target, &sc.sigma, &trees);
 }
 
@@ -333,7 +338,8 @@ fn university_fig3_agrees() {
 fn stbenchmark_basic_scenarios_agree() {
     for kind in stbench::BasicKind::all() {
         let sc = stbench::basic(kind);
-        let trees = shapes_of(&sc, 3, &[1, 2]);
+        let instances = populate(&sc, 3, &[1, 2]);
+        let trees = distinct_shapes(&instances);
         assert_agree(kind.name(), &sc.target, &sc.sigma, &trees);
     }
 }
