@@ -1,15 +1,18 @@
 //! Criterion microbenches for the exchange kernels: Match (on the 3-tree
 //! university forest and on the 70-tree STB forest), the matcher build,
-//! translate, script generation, script execution, chase, egd application,
-//! the keyed storage insert that enforces egds in place, and the two costs
-//! a served `PUSH` pays on top of the engine: snapshot publish and reply.
+//! translate, script generation, script execution (one script, and the
+//! replay of STB's 70 cached scripts into a keyed target), chase, egd
+//! application, the keyed storage insert that enforces egds in place, and
+//! the two costs a served `PUSH` pays on top of the engine: snapshot
+//! publish and reply.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use sedex_bench::harness::{black_box, criterion_group, criterion_main, Criterion};
+use sedex_core::marking::SeenSet;
 use sedex_core::scriptgen::generate_script;
 use sedex_core::translate::{slot_values, translate};
-use sedex_core::{run_script, Matcher, SedexConfig, SedexSession};
+use sedex_core::{run_script, Matcher, Script, SedexConfig, SedexEngine, SedexSession};
 use sedex_mapping::chase::{chase, NullFactory};
 use sedex_mapping::egd::apply_egds;
 use sedex_mapping::{generate_tgds, Egd};
@@ -17,7 +20,7 @@ use sedex_scenarios::ibench::{stb, IbenchConfig};
 use sedex_scenarios::{textfmt, university, GenRule, Scenario};
 use sedex_service::server::push_summary;
 use sedex_storage::{ConflictPolicy, Instance, RelationInstance, RelationSchema, Tuple, Value};
-use sedex_treerep::{tuple_shape_key, tuple_tree, SchemaForest, TreeConfig};
+use sedex_treerep::{repository_key, tuple_shape_key, tuple_tree, SchemaForest, TreeConfig};
 
 fn bench_match(c: &mut Criterion) {
     let s = university::scenario();
@@ -103,6 +106,55 @@ fn bench_translate_and_script(c: &mut Criterion) {
             run_script(black_box(&script), &values, &mut out, &mut 0).unwrap()
         })
     });
+}
+
+/// Script replay alone, on the input of the `exchange_merge` workload:
+/// iBench STB with every target relation keyed, 1 000 tuples per source
+/// relation (seed 3). An exchange generates the 70 scripts once; each
+/// iteration then replays them for every tuple the engine runs a script
+/// for, in the engine's order (relations by tree height, seen tuples
+/// skipped), into a fresh target — ~10 000 of the inserts are egd merges.
+/// Tree building and repository lookups are done before timing.
+fn bench_script_run_stb_merge(c: &mut Criterion) {
+    let sc = stb(&IbenchConfig {
+        pk_fraction: 1.0,
+        ..IbenchConfig::default()
+    });
+    let source = sc.populate(1_000, 3).unwrap();
+    let (_, _, export) = SedexEngine::new()
+        .exchange_with_repository(&source, &sc.target, &sc.sigma)
+        .unwrap();
+    let scripts: HashMap<String, Script> = export.entries.into_iter().collect();
+    let cfg = TreeConfig::default();
+    let forest = SchemaForest::new(source.schema(), &cfg).unwrap();
+    let mut seen = SeenSet::for_instance(&source);
+    let mut runs: Vec<(&Script, Vec<&Value>)> = Vec::new();
+    for rel in forest.processing_order() {
+        for row in 0..source.relation(rel).unwrap().len() as u32 {
+            if seen.is_seen(rel, row) {
+                continue;
+            }
+            let tt = tuple_tree(&source, rel, row, &cfg).unwrap();
+            seen.mark_all(&tt.visited);
+            let script = &scripts[&repository_key(&tt)];
+            if !script.is_empty() {
+                runs.push((script, slot_values(&tt)));
+            }
+        }
+    }
+    let mut g = c.benchmark_group("script_run_stb_merge");
+    g.sample_size(500);
+    g.bench_function(format!("runs_{}", runs.len()), |b| {
+        b.iter(|| {
+            let mut out = Instance::new(sc.target.clone());
+            let mut fresh = 0;
+            for (script, values) in &runs {
+                run_script(black_box(script), values, &mut out, &mut fresh).unwrap();
+            }
+            out
+        })
+    });
+    g.finish();
 }
 
 fn bench_chase_and_egds(c: &mut Criterion) {
@@ -209,6 +261,7 @@ criterion_group!(
     bench_match,
     bench_match_stb,
     bench_translate_and_script,
+    bench_script_run_stb_merge,
     bench_chase_and_egds,
     bench_insert_merge_keyed,
     bench_session_publish

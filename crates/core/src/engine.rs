@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use sedex_mapping::Correspondences;
 use sedex_observe::{Event, Observer, Phase};
-use sedex_storage::{ConflictPolicy, InsertOutcome, Instance, Schema, StorageError, Tuple, Value};
+use sedex_storage::{ConflictPolicy, Instance, Schema, StorageError, Tuple, Value};
 use sedex_treerep::{repository_key, tuple_tree, SchemaForest, TreeConfig, TupleTree};
 
 use crate::cfd::CfdInterpreter;
@@ -37,7 +37,7 @@ use crate::marking::SeenSet;
 use crate::matcher::Matcher;
 use crate::metrics::ExchangeReport;
 use crate::repository::{RepositoryExport, ScriptRepository, DEFAULT_EVENT_LIMIT};
-use crate::script::{run_script, RunOutcome, Script, SlotRef};
+use crate::script::{run_script, statement_tuple, FreshLabels, RunOutcome, Script};
 use crate::scriptgen::generate_script;
 use crate::trace::Trace;
 use crate::translate::{slot_values, translate};
@@ -139,7 +139,7 @@ impl std::fmt::Debug for SedexEngine {
 
 /// One executable item of a parallel batch: the (possibly reused) script,
 /// the tuple's slot values, and its pre-assigned fresh labels.
-type ExecItem<'a> = (Arc<Script>, &'a [&'a Value], HashMap<u32, Value>);
+type ExecItem<'a> = (Arc<Script>, &'a [&'a Value], FreshLabels);
 
 /// Chunked fork-join map over a slice on scoped threads, preserving item
 /// order. Falls back to a plain serial map when there is nothing to fan
@@ -580,54 +580,28 @@ impl SedexEngine {
         let mut exec: Vec<ExecItem<'_>> = Vec::with_capacity(kept.len());
         for (j, &i) in kept.iter().enumerate() {
             let Some(script) = &scripts[j] else { continue };
-            let mut fresh: HashMap<u32, Value> = HashMap::new();
-            for st in &script.statements {
-                for &(_, slot) in &st.assignments {
-                    if let SlotRef::Fresh(id) = slot {
-                        fresh.entry(id).or_insert_with(|| {
-                            let v = Value::Labeled(*fresh_counter);
-                            *fresh_counter += 1;
-                            v
-                        });
-                    }
-                }
-            }
+            let fresh = FreshLabels::for_script(script, fresh_counter);
             exec.push((Arc::clone(script), preps[i].1.as_slice(), fresh));
         }
 
-        // Validate target relations up front (the serial engine would fail
-        // mid-run; both paths surface the same error and drop the target).
-        let schema_rels = target_schema.relations();
-        let rel_index: HashMap<&str, usize> = schema_rels
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.name.as_str(), i))
-            .collect();
-        let arities: Vec<usize> = schema_rels.iter().map(|r| r.arity()).collect();
-        for (script, _, _) in &exec {
-            for st in &script.statements {
-                if !rel_index.contains_key(st.relation.as_str()) {
-                    return Err(StorageError::UnknownRelation(st.relation.clone()));
-                }
-            }
-        }
-
-        // Statement values resolve in parallel — pure per-tuple work.
-        let resolved: Vec<Vec<(usize, Tuple)>> =
+        // Statement tuples resolve in parallel — pure per-tuple work, built
+        // exactly as `run_script` builds them. An unknown relation surfaces
+        // as the first failing statement in row order, the error the
+        // serial engine returns (both paths then drop the target).
+        let schema = target.schema();
+        let resolved: Vec<Result<Vec<(usize, Tuple)>, StorageError>> =
             par_map(&exec, threads, |(script, slots, fresh)| {
-                let mut stmts = Vec::with_capacity(script.statements.len());
-                for st in &script.statements {
-                    let ri = rel_index[st.relation.as_str()];
-                    let mut vals = vec![Value::Null; arities[ri]];
-                    for &(col, slot) in &st.assignments {
-                        vals[col] = match slot {
-                            SlotRef::Src(s) => slots.get(s).map_or(Value::Null, |&v| v.clone()),
-                            SlotRef::Fresh(id) => fresh[&id].clone(),
-                        };
-                    }
-                    stmts.push((ri, Tuple::new(vals)));
-                }
-                stmts
+                script
+                    .statements
+                    .iter()
+                    .map(|st| {
+                        statement_tuple(st, schema, slots, |id| {
+                            fresh
+                                .get(id)
+                                .expect("surrogates are minted before execution")
+                        })
+                    })
+                    .collect()
             });
 
         // Partition by target relation, preserving the serial insert order
@@ -635,25 +609,19 @@ impl SedexEngine {
         // inserts on its own thread — conflict semantics are per-relation
         // (no cross-relation state), so relations commute.
         let timing = obs.is_some() || cfg.slow_exchange_threshold.is_some();
-        let mut per_rel: Vec<Vec<Tuple>> = vec![Vec::new(); schema_rels.len()];
+        let mut per_rel: Vec<Vec<Tuple>> = vec![Vec::new(); schema.len()];
         for stmts in resolved {
-            for (ri, tuple) in stmts {
+            for (ri, tuple) in stmts? {
                 per_rel[ri].push(tuple);
             }
         }
-        let mut rel_map = target.relations_mut();
         let jobs: Vec<_> = per_rel
             .into_iter()
+            .zip(target.relations_mut())
             .enumerate()
-            .filter(|(_, tuples)| !tuples.is_empty())
-            .map(|(ri, tuples)| {
-                let rel = rel_map
-                    .remove(schema_rels[ri].name.as_str())
-                    .expect("schema relation exists in its instance");
-                (ri, tuples, rel)
-            })
+            .filter(|(_, (tuples, _))| !tuples.is_empty())
+            .map(|(ri, (tuples, rel))| (ri, tuples, rel))
             .collect();
-        drop(rel_map);
         let mut results: Vec<(usize, Result<RunOutcome, StorageError>, u64)> =
             Vec::with_capacity(jobs.len());
         std::thread::scope(|s| {
@@ -664,13 +632,8 @@ impl SedexEngine {
                         let started = timing.then(Instant::now);
                         let mut out = RunOutcome::default();
                         for tuple in tuples {
-                            match rel.insert(tuple, ConflictPolicy::Merge) {
-                                Ok(InsertOutcome::Inserted(_)) => out.inserted += 1,
-                                Ok(InsertOutcome::Merged(_)) => out.merged += 1,
-                                Ok(InsertOutcome::Duplicate(_)) => out.duplicates += 1,
-                                Ok(InsertOutcome::Skipped(_)) => {}
-                                Err(StorageError::EgdFailure { .. }) => out.violations += 1,
-                                Err(e) => return (ri, Err(e), 0),
+                            if let Err(e) = out.record(rel.insert(tuple, ConflictPolicy::Merge)) {
+                                return (ri, Err(e), 0);
                             }
                         }
                         let nanos = started.map_or(0, |t| t.elapsed().as_nanos() as u64);

@@ -155,13 +155,36 @@ pub fn sql_statements(script: &Script, schema: &Schema, values: &[&Value]) -> St
 
 /// SQL literal form of a value (single quotes doubled in text).
 pub fn sql_literal(v: &Value) -> String {
+    let mut out = String::new();
+    write_sql_literal(&mut out, v);
+    out
+}
+
+/// Append [`sql_literal`]`(v)` to `out` without an intermediate `String`.
+pub fn write_sql_literal(out: &mut String, v: &Value) {
+    use std::fmt::Write as _;
     match v {
-        Value::Null => "NULL".to_owned(),
-        Value::Labeled(l) => format!("NULL /* N{l} */"),
-        Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_owned(),
-        Value::Int(i) => i.to_string(),
-        Value::Real(f) => f.0.to_string(),
-        Value::Text(s) => format!("'{}'", s.replace('\'', "''")),
+        Value::Null => out.push_str("NULL"),
+        Value::Labeled(l) => {
+            let _ = write!(out, "NULL /* N{l} */");
+        }
+        Value::Bool(b) => out.push_str(if *b { "TRUE" } else { "FALSE" }),
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
+        Value::Real(f) => {
+            let _ = write!(out, "{}", f.0);
+        }
+        Value::Text(s) => {
+            out.push('\'');
+            for (i, part) in s.split('\'').enumerate() {
+                if i > 0 {
+                    out.push_str("''");
+                }
+                out.push_str(part);
+            }
+            out.push('\'');
+        }
     }
 }
 
@@ -280,6 +303,9 @@ mod tests {
         assert_eq!(sql_literal(&Value::int(5)), "5");
         assert_eq!(sql_literal(&Value::bool(true)), "TRUE");
         assert_eq!(sql_literal(&Value::text("a'b")), "'a''b'");
+        assert_eq!(sql_literal(&Value::text("''x'")), "'''''x'''");
+        assert_eq!(sql_literal(&Value::real(-2.5)), "-2.5");
+        assert_eq!(sql_literal(&Value::Labeled(3)), "NULL /* N3 */");
         assert!(sql_literal(&Value::Labeled(3)).starts_with("NULL"));
     }
 

@@ -5,7 +5,7 @@
 //! tree — so the same script replays for every tuple tree with the same
 //! shape: that is the reuse mechanism behind Figs. 14–15.
 
-use sedex_storage::{ConflictPolicy, Instance, StorageError, Tuple, Value};
+use sedex_storage::{ConflictPolicy, InsertOutcome, Instance, Schema, StorageError, Tuple, Value};
 
 /// Where a statement takes a value from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,6 +62,25 @@ pub struct RunOutcome {
     pub violations: usize,
 }
 
+impl RunOutcome {
+    /// Count one statement's insert result. A hard egd conflict is a
+    /// violation, not an error; any other error is returned.
+    pub(crate) fn record(
+        &mut self,
+        result: Result<InsertOutcome, StorageError>,
+    ) -> Result<(), StorageError> {
+        match result {
+            Ok(InsertOutcome::Inserted(_)) => self.inserted += 1,
+            Ok(InsertOutcome::Merged(_)) => self.merged += 1,
+            Ok(InsertOutcome::Duplicate(_)) => self.duplicates += 1,
+            Ok(InsertOutcome::Skipped(_)) => {}
+            Err(StorageError::EgdFailure { .. }) => self.violations += 1,
+            Err(e) => return Err(e),
+        }
+        Ok(())
+    }
+}
+
 impl std::ops::AddAssign for RunOutcome {
     fn add_assign(&mut self, rhs: RunOutcome) {
         self.inserted += rhs.inserted;
@@ -69,6 +88,69 @@ impl std::ops::AddAssign for RunOutcome {
         self.duplicates += rhs.duplicates;
         self.violations += rhs.violations;
     }
+}
+
+/// The fresh labels of one script run: `(surrogate id, label)` in minting
+/// order. A script names a handful of surrogates, so a scan beats a map.
+#[derive(Debug, Default)]
+pub(crate) struct FreshLabels(Vec<(u32, u64)>);
+
+impl FreshLabels {
+    /// Surrogate `id`'s label, minted from `counter` on first use.
+    pub(crate) fn get_or_mint(&mut self, id: u32, counter: &mut u64) -> u64 {
+        if let Some(label) = self.get(id) {
+            return label;
+        }
+        let label = *counter;
+        *counter += 1;
+        self.0.push((id, label));
+        label
+    }
+
+    /// Surrogate `id`'s label, if minted.
+    pub(crate) fn get(&self, id: u32) -> Option<u64> {
+        self.0
+            .iter()
+            .find(|&&(i, _)| i == id)
+            .map(|&(_, label)| label)
+    }
+
+    /// Mint every surrogate of `script` in the order [`run_script`] meets
+    /// them — statements, then assignments, in order.
+    pub(crate) fn for_script(script: &Script, counter: &mut u64) -> Self {
+        let mut fresh = FreshLabels::default();
+        for st in &script.statements {
+            for &(_, slot) in &st.assignments {
+                if let SlotRef::Fresh(id) = slot {
+                    fresh.get_or_mint(id, counter);
+                }
+            }
+        }
+        fresh
+    }
+}
+
+/// Resolve one statement against the target schema: the relation's schema
+/// position (its [`Instance::insert_at`] index) and the tuple to insert —
+/// assigned slot values cloned (a reference-count bump for text),
+/// surrogates labeled by `label`, every other column an SQL null. Both the
+/// serial [`run_script`] and the engine's parallel execution build their
+/// tuples here.
+pub(crate) fn statement_tuple(
+    st: &Statement,
+    schema: &Schema,
+    values: &[&Value],
+    mut label: impl FnMut(u32) -> u64,
+) -> Result<(usize, Tuple), StorageError> {
+    let idx = schema.relation_index_or_err(&st.relation)?;
+    let mut vals = vec![Value::Null; schema.relations()[idx].arity()];
+    for &(col, slot) in &st.assignments {
+        vals[col] = match slot {
+            SlotRef::Src(i) => values.get(i).map_or(Value::Null, |&v| v.clone()),
+            SlotRef::Fresh(id) => Value::Labeled(label(id)),
+        };
+    }
+    Ok((idx, Tuple::new(vals)))
 }
 
 /// Execute a script against the target with the given slot values (see
@@ -87,33 +169,12 @@ pub fn run_script(
     fresh_counter: &mut u64,
 ) -> Result<RunOutcome, StorageError> {
     let mut out = RunOutcome::default();
-    let mut fresh: std::collections::HashMap<u32, Value> = std::collections::HashMap::new();
+    let mut fresh = FreshLabels::default();
     for st in &script.statements {
-        let arity = target.schema().relation_or_err(&st.relation)?.arity();
-        let mut vals = vec![Value::Null; arity];
-        for &(col, slot) in &st.assignments {
-            vals[col] = match slot {
-                SlotRef::Src(i) => values.get(i).map_or(Value::Null, |&v| v.clone()),
-                SlotRef::Fresh(id) => fresh
-                    .entry(id)
-                    .or_insert_with(|| {
-                        let v = Value::Labeled(*fresh_counter);
-                        *fresh_counter += 1;
-                        v
-                    })
-                    .clone(),
-            };
-        }
-        match target.insert(&st.relation, Tuple::new(vals), ConflictPolicy::Merge) {
-            Ok(o) => match o {
-                sedex_storage::InsertOutcome::Inserted(_) => out.inserted += 1,
-                sedex_storage::InsertOutcome::Merged(_) => out.merged += 1,
-                sedex_storage::InsertOutcome::Duplicate(_) => out.duplicates += 1,
-                sedex_storage::InsertOutcome::Skipped(_) => {}
-            },
-            Err(StorageError::EgdFailure { .. }) => out.violations += 1,
-            Err(e) => return Err(e),
-        }
+        let (idx, tuple) = statement_tuple(st, target.schema(), values, |id| {
+            fresh.get_or_mint(id, fresh_counter)
+        })?;
+        out.record(target.insert_at(idx, tuple, ConflictPolicy::Merge))?;
     }
     Ok(out)
 }

@@ -567,8 +567,8 @@ mod tests {
                 .exchange_tuple(
                     "Student",
                     Tuple::new(vec![
-                        Value::Text(format!("s{i}")),
-                        Value::Text(format!("p{i}")),
+                        Value::text(format!("s{i}")),
+                        Value::text(format!("p{i}")),
                         dep,
                     ]),
                 )

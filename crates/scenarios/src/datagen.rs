@@ -36,13 +36,13 @@ impl DataGen {
 
     /// A unique key value for row `row` of `relation`.
     pub fn key(&mut self, relation: &str, row: usize) -> Value {
-        Value::Text(format!("{relation}#{row}"))
+        Value::text(format!("{relation}#{row}"))
     }
 
     /// A non-key value for `column`, drawn from the bounded domain.
     pub fn value(&mut self, column: &str, _row: usize) -> Value {
         let v = self.rng.gen_index(self.domain);
-        Value::Text(format!("{column}-{v}"))
+        Value::text(format!("{column}-{v}"))
     }
 
     /// Pick a random index below `n` (for foreign-key targets).

@@ -197,7 +197,7 @@ impl Scenario {
                     }
                     if let Some(d) = discriminator {
                         if let Some(j) = rel.column_index(d) {
-                            vals[j] = Value::Text(format!("kind{g}"));
+                            vals[j] = Value::text(format!("kind{g}"));
                         }
                     }
                 }

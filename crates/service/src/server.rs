@@ -30,7 +30,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sedex_cluster::{Applied, ClusterConfig, ClusterState, HashRing, ReplFrame, Route};
-use sedex_core::render::sql_literal;
+use sedex_core::render::write_sql_literal;
 use sedex_core::{Observer, SedexConfig};
 use sedex_durable::recover::list_segments;
 use sedex_durable::{
@@ -44,7 +44,7 @@ use sedex_observe::{
 };
 use sedex_scenarios::textfmt;
 use sedex_storage::codec::{ByteReader, ByteWriter};
-use sedex_storage::{Instance, InstanceSnapshot, Tuple};
+use sedex_storage::{Instance, InstanceSnapshot, RelationSchema, Rows, Tuple};
 
 use crate::client::{Client, ClientConfig};
 use crate::manager::SessionManager;
@@ -2393,50 +2393,51 @@ fn server_stats(shared: &Shared, proto: Proto) -> Response {
 /// Render a target instance as SQL `INSERT` statements (sorted by relation
 /// name for stable output).
 pub fn sql_dump(instance: &Instance) -> String {
-    let mut rels: Vec<(&str, _)> = instance.relations().collect();
-    rels.sort_by_key(|(name, _)| name.to_owned());
-    let mut out = String::new();
-    for (name, rel) in rels {
-        let cols: Vec<&str> = rel
-            .schema()
-            .columns
-            .iter()
-            .map(|c| c.name.as_str())
-            .collect();
-        for tuple in rel.iter() {
-            let vals: Vec<String> = tuple.values().iter().map(sql_literal).collect();
-            out.push_str(&format!(
-                "INSERT INTO {} ({}) VALUES ({});\n",
-                name,
-                cols.join(", "),
-                vals.join(", ")
-            ));
-        }
-    }
-    out
+    render_inserts(
+        instance
+            .relations()
+            .map(|(_, rel)| (rel.schema(), rel.rows())),
+    )
 }
 
 /// [`sql_dump`] over a captured [`InstanceSnapshot`] — byte-identical
 /// output for identical contents, so a snapshot read renders exactly what
 /// a locked read of the same batch boundary would have.
 pub fn sql_dump_snapshot(snap: &InstanceSnapshot) -> String {
-    let mut rels: Vec<_> = snap.relations().collect();
-    rels.sort_by_key(|(name, _)| name.to_owned());
+    let rows = snap.relations().map(|(_, rows)| rows);
+    render_inserts(snap.schema().relations().iter().zip(rows))
+}
+
+/// The one SQL renderer behind [`sql_dump`] and [`sql_dump_snapshot`]: an
+/// `INSERT` per row, relations sorted by name. Each relation's
+/// `INSERT INTO name (cols) VALUES (` prefix is built once and every
+/// literal is written straight into the output.
+fn render_inserts<'a>(rels: impl Iterator<Item = (&'a RelationSchema, &'a Rows)>) -> String {
+    let mut rels: Vec<_> = rels.collect();
+    rels.sort_by(|(a, _), (b, _)| a.name.cmp(&b.name));
     let mut out = String::new();
-    for (name, rows) in rels {
-        let cols: Vec<&str> = snap
-            .schema()
-            .relation(name)
-            .map(|r| r.columns.iter().map(|c| c.name.as_str()).collect())
-            .unwrap_or_default();
+    let mut prefix = String::new();
+    for (schema, rows) in rels {
+        prefix.clear();
+        prefix.push_str("INSERT INTO ");
+        prefix.push_str(&schema.name);
+        prefix.push_str(" (");
+        for (i, c) in schema.columns.iter().enumerate() {
+            if i > 0 {
+                prefix.push_str(", ");
+            }
+            prefix.push_str(&c.name);
+        }
+        prefix.push_str(") VALUES (");
         for tuple in rows.iter() {
-            let vals: Vec<String> = tuple.values().iter().map(sql_literal).collect();
-            out.push_str(&format!(
-                "INSERT INTO {} ({}) VALUES ({});\n",
-                name,
-                cols.join(", "),
-                vals.join(", ")
-            ));
+            out.push_str(&prefix);
+            for (i, v) in tuple.values().iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                write_sql_literal(&mut out, v);
+            }
+            out.push_str(");\n");
         }
     }
     out
@@ -2445,7 +2446,7 @@ pub fn sql_dump_snapshot(snap: &InstanceSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sedex_storage::{ConflictPolicy, RelationSchema, Schema};
+    use sedex_storage::{ConflictPolicy, Schema, Value};
 
     #[test]
     fn sql_dump_renders_sorted_inserts() {
@@ -2462,5 +2463,36 @@ mod tests {
             sql,
             "INSERT INTO A (y, z) VALUES ('p', 'q');\nINSERT INTO B (x) VALUES ('v');\n"
         );
+    }
+
+    #[test]
+    fn sql_dump_of_instance_and_snapshot_agree() {
+        let c = RelationSchema::with_any_columns("C", &["k", "t", "r", "b"])
+            .primary_key(&["k"])
+            .unwrap();
+        let a = RelationSchema::with_any_columns("A", &["y"]);
+        let schema = Schema::from_relations(vec![c, a]).unwrap();
+        let mut inst = Instance::new(schema);
+        let rows = [
+            sedex_storage::tuple!["k1", "it's", 2.5, true],
+            sedex_storage::tuple!["k2", "''", -0.125, false],
+            sedex_storage::tuple!["k3", Value::Labeled(7), Value::Null, Value::Labeled(8)],
+        ];
+        for t in rows {
+            inst.insert("C", t, ConflictPolicy::Reject).unwrap();
+        }
+        // Enough rows that some live in sealed chunks, some in the tail.
+        for i in 0..300i64 {
+            inst.insert("A", sedex_storage::tuple![i], ConflictPolicy::Reject)
+                .unwrap();
+        }
+        let sql = sql_dump(&inst);
+        assert_eq!(sql, sql_dump_snapshot(&inst.snapshot()));
+        assert!(sql.starts_with("INSERT INTO A (y) VALUES (0);\n"));
+        assert!(sql.ends_with(
+            "INSERT INTO C (k, t, r, b) VALUES ('k1', 'it''s', 2.5, TRUE);\n\
+             INSERT INTO C (k, t, r, b) VALUES ('k2', '''''', -0.125, FALSE);\n\
+             INSERT INTO C (k, t, r, b) VALUES ('k3', NULL /* N7 */, NULL, NULL /* N8 */);\n"
+        ));
     }
 }

@@ -186,8 +186,15 @@ impl<'a> ByteReader<'a> {
 
     /// Read a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> CodecResult<String> {
+        self.get_str_ref().map(str::to_owned)
+    }
+
+    /// Read a length-prefixed UTF-8 string in place: the bytes are
+    /// validated, not copied, so a caller building its own owned form
+    /// (a decoded text value's `Arc<str>`) allocates once.
+    pub fn get_str_ref(&mut self) -> CodecResult<&'a str> {
         let b = self.get_bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|_| CodecError::new("invalid UTF-8 in string"))
+        std::str::from_utf8(b).map_err(|_| CodecError::new("invalid UTF-8 in string"))
     }
 
     /// Error unless every input byte was consumed — catches frames that are
@@ -248,7 +255,7 @@ pub fn decode_value(r: &mut ByteReader<'_>) -> CodecResult<Value> {
         VAL_BOOL => Ok(Value::Bool(r.get_u8()? != 0)),
         VAL_INT => Ok(Value::Int(r.get_i64()?)),
         VAL_REAL => Ok(Value::Real(OrderedF64(r.get_f64()?))),
-        VAL_TEXT => Ok(Value::Text(r.get_str()?)),
+        VAL_TEXT => Ok(Value::Text(r.get_str_ref()?.into())),
         t => Err(CodecError::new(format!("unknown value tag {t}"))),
     }
 }
@@ -469,6 +476,16 @@ mod tests {
         roundtrip_value(Value::real(-0.0));
         roundtrip_value(Value::text("héllo"));
         roundtrip_value(Value::text(""));
+    }
+
+    #[test]
+    fn text_value_with_invalid_utf8_is_rejected() {
+        let mut w = ByteWriter::new();
+        w.put_u8(VAL_TEXT);
+        w.put_bytes(&[b'a', 0xff, b'b']);
+        let bytes = w.into_bytes();
+        let err = decode_value(&mut ByteReader::new(&bytes)).unwrap_err();
+        assert!(err.to_string().contains("invalid UTF-8"), "{err}");
     }
 
     #[test]

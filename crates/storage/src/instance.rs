@@ -5,7 +5,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::error::StorageError;
 use crate::relation::RelationInstance;
 use crate::rows::Rows;
 use crate::schema::{ForeignKey, Schema};
@@ -18,14 +17,16 @@ use crate::Result;
 /// constraint with an existing, *different* tuple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConflictPolicy {
-    /// Fail the insert with [`StorageError::KeyViolation`].
+    /// Fail the insert with
+    /// [`StorageError::KeyViolation`](crate::StorageError::KeyViolation).
     Reject,
     /// Silently keep the existing tuple (first writer wins).
     Skip,
     /// Unify the new tuple into the existing one, egd-style: constants beat
     /// labeled nulls beat SQL nulls; two distinct constants fail with
-    /// [`StorageError::EgdFailure`]. This is how SEDEX applies target egds
-    /// when running scripts (Section 4.4.3).
+    /// [`StorageError::EgdFailure`](crate::StorageError::EgdFailure). This
+    /// is how SEDEX applies target egds when running scripts (Section
+    /// 4.4.3).
     Merge,
     /// Ignore key constraints entirely (still set semantics on identical
     /// tuples). This is the Clio / universal-solution behaviour: uncorrelated
@@ -53,7 +54,11 @@ impl InsertOutcome {
     }
 }
 
-/// An instance of a whole [`Schema`]: one [`RelationInstance`] per relation.
+/// An instance of a whole [`Schema`]: one [`RelationInstance`] per relation,
+/// stored in schema order — relation `i` of [`Schema::relations`] lives at
+/// index `i`, so a caller that resolved a name once through
+/// [`Schema::relation_index`] inserts without hashing it again
+/// ([`Instance::insert_at`]).
 ///
 /// Every mutating accessor bumps a monotonically increasing *epoch*, and
 /// [`Instance::snapshot`] captures an epoch-stamped [`InstanceSnapshot`]
@@ -63,7 +68,8 @@ impl InsertOutcome {
 #[derive(Debug, Clone)]
 pub struct Instance {
     schema: Arc<Schema>,
-    relations: HashMap<String, RelationInstance>,
+    /// In schema order.
+    relations: Vec<RelationInstance>,
     /// Bumped on every mutating access, including ones that end up
     /// changing nothing — over-counting is safe, the epoch only promises
     /// "same epoch ⇒ same data".
@@ -76,7 +82,7 @@ impl Instance {
         let relations = schema
             .relations()
             .iter()
-            .map(|r| (r.name.clone(), RelationInstance::new(r.clone())))
+            .map(|r| RelationInstance::new(r.clone()))
             .collect();
         Instance {
             schema: Arc::new(schema),
@@ -109,50 +115,41 @@ impl Instance {
             relations: self
                 .relations
                 .iter()
-                .map(|(name, rel)| (name.clone(), rel.rows_snapshot()))
+                .map(RelationInstance::rows_snapshot)
                 .collect(),
         }
     }
 
     /// The instance of the named relation.
     pub fn relation(&self, name: &str) -> Option<&RelationInstance> {
-        self.relations.get(name)
+        self.schema.relation_index(name).map(|i| &self.relations[i])
     }
 
     /// The instance of the named relation, erroring when missing.
     pub fn relation_or_err(&self, name: &str) -> Result<&RelationInstance> {
-        self.relations
-            .get(name)
-            .ok_or_else(|| StorageError::UnknownRelation(name.to_owned()))
+        Ok(&self.relations[self.schema.relation_index_or_err(name)?])
     }
 
     /// Mutable access to the named relation instance (bumps the epoch).
     pub fn relation_mut(&mut self, name: &str) -> Result<&mut RelationInstance> {
+        let idx = self.schema.relation_index_or_err(name)?;
         self.epoch += 1;
-        self.relations
-            .get_mut(name)
-            .ok_or_else(|| StorageError::UnknownRelation(name.to_owned()))
+        Ok(&mut self.relations[idx])
     }
 
-    /// Mutable access to *every* relation instance at once, keyed by name.
-    /// The returned references are disjoint, so callers may hand each
+    /// Mutable access to *every* relation instance at once, in schema
+    /// order. The references are disjoint, so callers may hand each
     /// relation to a different thread — the engine's parallel script
     /// execution partitions inserts by target relation this way (egd/key
     /// checks stay serialized per relation). Bumps the epoch.
-    pub fn relations_mut(&mut self) -> HashMap<&str, &mut RelationInstance> {
+    pub fn relations_mut(&mut self) -> &mut [RelationInstance] {
         self.epoch += 1;
-        self.relations
-            .iter_mut()
-            .map(|(name, rel)| (name.as_str(), rel))
-            .collect()
+        &mut self.relations
     }
 
     /// Iterate `(name, relation_instance)` in schema order.
     pub fn relations(&self) -> impl Iterator<Item = (&str, &RelationInstance)> {
-        self.schema
-            .relations()
-            .iter()
-            .map(move |r| (r.name.as_str(), &self.relations[&r.name]))
+        self.relations.iter().map(|r| (r.schema().name.as_str(), r))
     }
 
     /// Insert a tuple into the named relation.
@@ -163,6 +160,20 @@ impl Instance {
         policy: ConflictPolicy,
     ) -> Result<InsertOutcome> {
         self.relation_mut(relation)?.insert(tuple, policy)
+    }
+
+    /// Insert a tuple into the relation at schema position `idx` (see
+    /// [`Schema::relation_index`]) — [`Instance::insert`] without the name
+    /// lookup, for callers that resolved the relation once. Panics when
+    /// out of range.
+    pub fn insert_at(
+        &mut self,
+        idx: usize,
+        tuple: Tuple,
+        policy: ConflictPolicy,
+    ) -> Result<InsertOutcome> {
+        self.epoch += 1;
+        self.relations[idx].insert(tuple, policy)
     }
 
     /// Insert many tuples with one policy; returns how many new rows landed.
@@ -224,21 +235,21 @@ impl Instance {
         fk: &ForeignKey,
         tuple: &Tuple,
     ) -> Option<(&RelationInstance, crate::relation::RowId)> {
-        let target = self.relations.get(&fk.ref_relation)?;
+        let target = self.relation(&fk.ref_relation)?;
         let id = target.find_referenced(&fk.ref_columns, tuple, &fk.columns)?;
         Some((target, id))
     }
 
     /// Total number of tuples across relations.
     pub fn total_tuples(&self) -> usize {
-        self.relations.values().map(RelationInstance::len).sum()
+        self.relations.iter().map(RelationInstance::len).sum()
     }
 
     /// Instance statistics: the paper's quality measure (atoms, split into
     /// constants and nulls), plus tuple counts.
     pub fn stats(&self) -> InstanceStats {
         let mut s = InstanceStats::default();
-        for r in self.relations.values() {
+        for r in &self.relations {
             s.tuples += r.len();
             s.constants += r.constants();
             s.nulls += r.nulls();
@@ -254,7 +265,7 @@ impl Instance {
         }
         self.epoch += 1;
         self.relations
-            .values_mut()
+            .iter_mut()
             .map(|r| r.substitute_labeled(subst))
             .sum()
     }
@@ -268,7 +279,8 @@ impl Instance {
 pub struct InstanceSnapshot {
     schema: Arc<Schema>,
     epoch: u64,
-    relations: HashMap<String, Rows>,
+    /// In schema order, like [`Instance`]'s relations.
+    relations: Vec<Rows>,
 }
 
 impl InstanceSnapshot {
@@ -284,20 +296,17 @@ impl InstanceSnapshot {
 
     /// The captured rows of the named relation.
     pub fn relation(&self, name: &str) -> Option<&Rows> {
-        self.relations.get(name)
+        self.schema.relation_index(name).map(|i| &self.relations[i])
     }
 
     /// Iterate `(name, rows)` in schema order.
     pub fn relations(&self) -> impl Iterator<Item = (&str, &Rows)> {
-        self.schema
-            .relations()
-            .iter()
-            .map(move |r| (r.name.as_str(), &self.relations[&r.name]))
+        self.schema.relation_names().zip(&self.relations)
     }
 
     /// Total number of tuples across relations.
     pub fn total_tuples(&self) -> usize {
-        self.relations.values().map(Rows::len).sum()
+        self.relations.iter().map(Rows::len).sum()
     }
 
     /// Instance statistics at capture time — same measure as
@@ -305,7 +314,7 @@ impl InstanceSnapshot {
     /// never pays the O(n) walk.
     pub fn stats(&self) -> InstanceStats {
         let mut s = InstanceStats::default();
-        for rows in self.relations.values() {
+        for rows in &self.relations {
             s.tuples += rows.len();
             for t in rows.iter() {
                 s.constants += t.constants();
@@ -359,6 +368,22 @@ mod tests {
             .unwrap()
             .lookup_pk(&[Value::text("a1")])
             .is_some());
+    }
+
+    #[test]
+    fn insert_at_addresses_relations_by_schema_position() {
+        let mut inst = Instance::new(two_rel_schema());
+        let b = inst.schema().relation_index("B").unwrap();
+        assert_eq!(b, 1);
+        assert!(inst.schema().relation_index("Zzz").is_none());
+        let epoch = inst.epoch();
+        inst.insert_at(b, tuple!["b1", "v"], ConflictPolicy::Reject)
+            .unwrap();
+        assert!(inst.epoch() > epoch);
+        assert_eq!(inst.relation("B").unwrap().len(), 1);
+        assert_eq!(inst.relation("A").unwrap().len(), 0);
+        let names: Vec<&str> = inst.relations().map(|(n, _)| n).collect();
+        assert_eq!(names, ["A", "B"]);
     }
 
     #[test]

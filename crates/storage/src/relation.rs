@@ -1,8 +1,8 @@
 //! Relation instances: tuple sets with hash indexes on keys.
 
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 use crate::error::StorageError;
 use crate::instance::{ConflictPolicy, InsertOutcome};
@@ -19,15 +19,49 @@ pub type RowId = u32;
 /// probe goes through this one function — whole tuples for `row_set`, key
 /// columns read in place for the key indexes, a caller's key slice for
 /// [`RelationInstance::lookup_pk_id`] — so probes and indexes agree by
-/// construction.
-fn hash_values<'a>(vals: impl ExactSizeIterator<Item = &'a Value>) -> u64 {
-    let mut h = DefaultHasher::new();
+/// construction. `keys` is the relation's randomly keyed SipHash.
+fn hash_values<'a>(keys: &RandomState, vals: impl ExactSizeIterator<Item = &'a Value>) -> u64 {
+    let mut h = keys.build_hasher();
     h.write_usize(vals.len());
     for v in vals {
         v.hash(&mut h);
     }
-    h.finish()
+    let h = h.finish();
+    // Tests narrow the hash to force bucket collisions.
+    #[cfg(test)]
+    let h = h & tests::HASH_MASK.with(std::cell::Cell::get);
+    h
 }
+
+/// [`hash_values`] of a whole tuple: its `row_set` hash.
+fn tuple_hash(keys: &RandomState, t: &Tuple) -> u64 {
+    hash_values(keys, t.values().iter())
+}
+
+/// The hasher of the index maps. Their keys are [`hash_values`] outputs,
+/// already SipHash digests under random keys, so the map uses them as
+/// they are instead of hashing them a second time; values sent by
+/// clients cannot be chosen to collide in it.
+#[derive(Default)]
+struct IdentityHasher(u64);
+
+impl Hasher for IdentityHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("index maps are keyed by u64 only")
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+/// A hash index: [`hash_values`] digest → the ids of the rows with that
+/// digest, ascending.
+type HashIndex = HashMap<u64, Vec<RowId>, BuildHasherDefault<IdentityHasher>>;
 
 /// The key columns `cols` of `t`, in key order, without copying them.
 fn key_of<'a>(t: &'a Tuple, cols: &'a [usize]) -> impl ExactSizeIterator<Item = &'a Value> + Clone {
@@ -38,7 +72,7 @@ fn key_of<'a>(t: &'a Tuple, cols: &'a [usize]) -> impl ExactSizeIterator<Item = 
 /// in ascending order — the order a full rebuild produces — so a lookup
 /// finds the same row however the index got there; emptied buckets are
 /// dropped.
-fn update_bucket(index: &mut HashMap<u64, Vec<RowId>>, h: u64, id: RowId, add: bool) {
+fn update_bucket(index: &mut HashIndex, h: u64, id: RowId, add: bool) {
     if add {
         let bucket = index.entry(h).or_default();
         if let Err(pos) = bucket.binary_search(&id) {
@@ -67,23 +101,26 @@ fn update_bucket(index: &mut HashMap<u64, Vec<RowId>>, h: u64, id: RowId, add: b
 pub struct RelationInstance {
     schema: RelationSchema,
     rows: Rows,
+    /// The random SipHash keys of every index digest ([`hash_values`]).
+    digest_keys: RandomState,
     /// Set-semantics index: tuple hash → row ids with that hash.
-    row_set: HashMap<u64, Vec<RowId>>,
+    row_set: HashIndex,
     /// Primary-key index: key-projection hash → row ids (usually one).
-    pk_index: HashMap<u64, Vec<RowId>>,
+    pk_index: HashIndex,
     /// One index per `schema.unique` constraint.
-    unique_indexes: Vec<HashMap<u64, Vec<RowId>>>,
+    unique_indexes: Vec<HashIndex>,
 }
 
 impl RelationInstance {
     /// An empty instance of the given relation schema.
     pub fn new(schema: RelationSchema) -> Self {
-        let unique_indexes = schema.unique.iter().map(|_| HashMap::new()).collect();
+        let unique_indexes = schema.unique.iter().map(|_| HashIndex::default()).collect();
         RelationInstance {
             schema,
             rows: Rows::new(),
-            row_set: HashMap::new(),
-            pk_index: HashMap::new(),
+            digest_keys: RandomState::new(),
+            row_set: HashIndex::default(),
+            pk_index: HashIndex::default(),
             unique_indexes,
         }
     }
@@ -158,8 +195,8 @@ impl RelationInstance {
         Ok(())
     }
 
-    fn find_exact(&self, tuple: &Tuple) -> Option<RowId> {
-        let h = hash_values(tuple.values().iter());
+    /// The row equal to `tuple`, whose [`tuple_hash`] is `h`.
+    fn find_exact(&self, tuple: &Tuple, h: u64) -> Option<RowId> {
         self.row_set
             .get(&h)?
             .iter()
@@ -168,10 +205,11 @@ impl RelationInstance {
     }
 
     /// Find the lowest row id whose projection on `key_cols` equals `key`
-    /// (the key values, in key order). Keys containing nulls never match.
+    /// (the key values, in key order) through `index`, one of this
+    /// relation's key indexes. Keys containing nulls never match.
     fn find_by_key<'a>(
-        index: &HashMap<u64, Vec<RowId>>,
-        rows: &Rows,
+        &self,
+        index: &HashIndex,
         key_cols: &[usize],
         key: impl ExactSizeIterator<Item = &'a Value> + Clone,
     ) -> Option<RowId> {
@@ -179,11 +217,11 @@ impl RelationInstance {
             return None;
         }
         index
-            .get(&hash_values(key.clone()))?
+            .get(&hash_values(&self.digest_keys, key.clone()))?
             .iter()
             .copied()
             .find(|&id| {
-                let vals = rows[id as usize].values();
+                let vals = self.rows[id as usize].values();
                 key_cols
                     .iter()
                     .zip(key.clone())
@@ -202,12 +240,7 @@ impl RelationInstance {
         if self.schema.primary_key.is_empty() {
             return None;
         }
-        Self::find_by_key(
-            &self.pk_index,
-            &self.rows,
-            &self.schema.primary_key,
-            key_vals.iter(),
-        )
+        self.find_by_key(&self.pk_index, &self.schema.primary_key, key_vals.iter())
     }
 
     /// The lowest row id whose columns `cols` equal `tuple`'s columns
@@ -223,7 +256,7 @@ impl RelationInstance {
     ) -> Option<RowId> {
         let key = key_of(tuple, tuple_cols);
         if !cols.is_empty() && cols == self.schema.primary_key.as_slice() {
-            return Self::find_by_key(&self.pk_index, &self.rows, cols, key);
+            return self.find_by_key(&self.pk_index, cols, key);
         }
         if key.clone().any(Value::is_any_null) {
             return None;
@@ -252,17 +285,25 @@ impl RelationInstance {
     }
 
     /// Add row `id` to (`add`) or remove it from every index, under the
-    /// hashes of its current values. Keys containing nulls are not indexed.
-    fn update_indexes(&mut self, id: RowId, add: bool) {
+    /// hashes of its current values; `row_hash` is the row's
+    /// [`tuple_hash`], which the caller already has. Keys containing nulls
+    /// are not indexed.
+    fn update_indexes(&mut self, id: RowId, row_hash: u64, add: bool) {
         let t = &self.rows[id as usize];
-        update_bucket(&mut self.row_set, hash_values(t.values().iter()), id, add);
+        update_bucket(&mut self.row_set, row_hash, id, add);
         let pk = &self.schema.primary_key;
         if !pk.is_empty() && !t.key_has_null(pk) {
-            update_bucket(&mut self.pk_index, hash_values(key_of(t, pk)), id, add);
+            let h = hash_values(&self.digest_keys, key_of(t, pk));
+            update_bucket(&mut self.pk_index, h, id, add);
         }
         for (u, idxmap) in self.schema.unique.iter().zip(&mut self.unique_indexes) {
             if !t.key_has_null(u) {
-                update_bucket(idxmap, hash_values(key_of(t, u)), id, add);
+                update_bucket(
+                    idxmap,
+                    hash_values(&self.digest_keys, key_of(t, u)),
+                    id,
+                    add,
+                );
             }
         }
     }
@@ -281,7 +322,9 @@ impl RelationInstance {
     ///   Clio/universal-solution behaviour).
     pub fn insert(&mut self, tuple: Tuple, policy: ConflictPolicy) -> Result<InsertOutcome> {
         self.type_check(&tuple)?;
-        if let Some(id) = self.find_exact(&tuple) {
+        // One tuple hash serves the duplicate probe and the row-set index.
+        let h = tuple_hash(&self.digest_keys, &tuple);
+        if let Some(id) = self.find_exact(&tuple, h) {
             return Ok(InsertOutcome::Duplicate(id));
         }
         if policy != ConflictPolicy::Allow {
@@ -290,16 +333,14 @@ impl RelationInstance {
             let conflict = if pk.is_empty() {
                 None
             } else {
-                Self::find_by_key(&self.pk_index, &self.rows, pk, key_of(&tuple, pk))
+                self.find_by_key(&self.pk_index, pk, key_of(&tuple, pk))
             }
             .or_else(|| {
                 self.schema
                     .unique
                     .iter()
                     .zip(&self.unique_indexes)
-                    .find_map(|(u, idxmap)| {
-                        Self::find_by_key(idxmap, &self.rows, u, key_of(&tuple, u))
-                    })
+                    .find_map(|(u, idxmap)| self.find_by_key(idxmap, u, key_of(&tuple, u)))
             });
             if let Some(id) = conflict {
                 return match policy {
@@ -320,7 +361,7 @@ impl RelationInstance {
         }
         let id = self.rows.len() as RowId;
         self.rows.push(tuple);
-        self.update_indexes(id, true);
+        self.update_indexes(id, h, true);
         Ok(InsertOutcome::Inserted(id))
     }
 
@@ -353,9 +394,11 @@ impl RelationInstance {
     /// costs the same in a relation of any size. When a snapshot shares the
     /// row's chunk, only that one chunk is copied.
     pub fn replace_row(&mut self, id: RowId, tuple: Tuple) {
-        self.update_indexes(id, false);
+        let old = tuple_hash(&self.digest_keys, &self.rows[id as usize]);
+        self.update_indexes(id, old, false);
+        let h = tuple_hash(&self.digest_keys, &tuple);
         self.rows.set(id as usize, tuple);
-        self.update_indexes(id, true);
+        self.update_indexes(id, h, true);
     }
 
     /// Replace the whole row set (collapsing exact duplicates) and rebuild
@@ -427,8 +470,7 @@ impl RelationInstance {
         let mut seen: HashMap<u64, Vec<Tuple>> = HashMap::new();
         let mut keep = Vec::with_capacity(self.rows.len());
         for t in std::mem::take(&mut self.rows).into_vec() {
-            let h = hash_values(t.values().iter());
-            let bucket = seen.entry(h).or_default();
+            let bucket = seen.entry(tuple_hash(&self.digest_keys, &t)).or_default();
             if !bucket.iter().any(|u| u == &t) {
                 bucket.push(t.clone());
                 keep.push(t);
@@ -445,7 +487,8 @@ impl RelationInstance {
             m.clear();
         }
         for id in 0..self.rows.len() as RowId {
-            self.update_indexes(id, true);
+            let h = tuple_hash(&self.digest_keys, &self.rows[id as usize]);
+            self.update_indexes(id, h, true);
         }
     }
 
@@ -464,6 +507,12 @@ impl RelationInstance {
 mod tests {
     use super::*;
     use crate::tuple;
+
+    thread_local! {
+        /// ANDed into every [`hash_values`] output on this thread: a test
+        /// narrows it to put distinct rows and keys under one index hash.
+        pub(super) static HASH_MASK: std::cell::Cell<u64> = const { std::cell::Cell::new(u64::MAX) };
+    }
 
     fn keyed_rel() -> RelationInstance {
         RelationInstance::new(
@@ -657,6 +706,75 @@ mod tests {
 
     #[test]
     fn incremental_indexes_match_a_full_rebuild() {
+        random_ops_match_rebuild();
+    }
+
+    #[test]
+    fn incremental_indexes_match_a_full_rebuild_under_hash_collisions() {
+        // Two hash bits: distinct rows and keys share buckets all the time.
+        HASH_MASK.with(|m| m.set(0b11));
+        random_ops_match_rebuild();
+        HASH_MASK.with(|m| m.set(u64::MAX));
+    }
+
+    #[test]
+    fn index_digests_are_keyed_per_relation() {
+        // Clients choose values, so they must not be able to predict the
+        // digests the identity-hashed index maps are keyed by.
+        let (a, b) = (keyed_rel(), keyed_rel());
+        let t = tuple!["k", "a", "b"];
+        assert_ne!(
+            tuple_hash(&a.digest_keys, &t),
+            tuple_hash(&b.digest_keys, &t)
+        );
+        assert_eq!(
+            tuple_hash(&a.digest_keys, &t),
+            tuple_hash(&a.clone().digest_keys, &t)
+        );
+    }
+
+    #[test]
+    fn colliding_rows_keep_ascending_buckets_through_add_and_remove() {
+        // Every row and every key hashes to 0: one bucket per index.
+        HASH_MASK.with(|m| m.set(0));
+        let mut r = keyed_rel();
+        let ins = |r: &mut RelationInstance, t| r.insert(t, ConflictPolicy::Merge).unwrap();
+        assert_eq!(
+            ins(&mut r, tuple!["k2", "a", Value::Null]),
+            InsertOutcome::Inserted(0)
+        );
+        // Same hash, different tuple and key: a new row, not a duplicate.
+        assert_eq!(
+            ins(&mut r, tuple!["k1", "b", "c"]),
+            InsertOutcome::Inserted(1)
+        );
+        assert_eq!(r.row_set[&0], vec![0, 1]);
+        assert_eq!(r.pk_index[&0], vec![0, 1]);
+        assert_eq!(
+            ins(&mut r, tuple!["k1", "b", "c"]),
+            InsertOutcome::Duplicate(1)
+        );
+        // The merge finds row 0 by comparing key values, not by hash, and
+        // re-files it: removed, then re-added in ascending position.
+        assert_eq!(
+            ins(&mut r, tuple!["k2", "a", "z"]),
+            InsertOutcome::Merged(0)
+        );
+        assert_eq!(r.row(0).unwrap(), &tuple!["k2", "a", "z"]);
+        assert_eq!(r.row_set[&0], vec![0, 1]);
+        assert_eq!(r.pk_index[&0], vec![0, 1]);
+        r.replace_row(1, tuple!["k3", "d", "e"]);
+        assert_eq!(r.row_set[&0], vec![0, 1]);
+        assert_eq!(r.lookup_pk_id(&[Value::text("k3")]), Some(1));
+        assert_eq!(r.lookup_pk_id(&[Value::text("k1")]), None);
+        assert_eq!(r.lookup_pk_id(&[Value::text("k2")]), Some(0));
+        assert_indexes_match_rebuild(&r, "all hashes 0");
+        HASH_MASK.with(|m| m.set(u64::MAX));
+    }
+
+    /// Seeded random inserts under every policy plus row replacements,
+    /// checking the indexes against a full rebuild after each step.
+    fn random_ops_match_rebuild() {
         // SplitMix64: a seeded stream over a narrow domain, so keys collide.
         fn next(state: &mut u64) -> u64 {
             *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

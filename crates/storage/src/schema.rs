@@ -288,13 +288,25 @@ impl Schema {
 
     /// Look up a relation schema by name.
     pub fn relation(&self, name: &str) -> Option<&RelationSchema> {
-        self.by_name.get(name).map(|&i| &self.relations[i])
+        self.relation_index(name).map(|i| &self.relations[i])
+    }
+
+    /// The position of the named relation in [`Schema::relations`] — the
+    /// index an [`crate::Instance`] stores the relation's rows under.
+    pub fn relation_index(&self, name: &str) -> Option<usize> {
+        self.by_name.get(name).copied()
+    }
+
+    /// Like [`Schema::relation_index`], erroring when the relation is
+    /// missing.
+    pub fn relation_index_or_err(&self, name: &str) -> Result<usize> {
+        self.relation_index(name)
+            .ok_or_else(|| StorageError::UnknownRelation(name.to_owned()))
     }
 
     /// Look up a relation schema by name, erroring when missing.
     pub fn relation_or_err(&self, name: &str) -> Result<&RelationSchema> {
-        self.relation(name)
-            .ok_or_else(|| StorageError::UnknownRelation(name.to_owned()))
+        self.relation_index_or_err(name).map(|i| &self.relations[i])
     }
 
     /// All relation schemas in insertion order.
@@ -338,10 +350,7 @@ impl Schema {
                 })
                 .collect::<Result<_>>()?
         };
-        let idx = *self
-            .by_name
-            .get(relation)
-            .ok_or_else(|| StorageError::UnknownRelation(relation.to_owned()))?;
+        let idx = self.relation_index_or_err(relation)?;
         let rel = &mut self.relations[idx];
         let cols_idx: Vec<usize> = cols
             .iter()

@@ -12,6 +12,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::types::DataType;
 
@@ -35,8 +36,10 @@ pub enum Value {
     Int(i64),
     /// 64-bit float constant, ordered and hashed by bit pattern.
     Real(OrderedF64),
-    /// Text constant.
-    Text(String),
+    /// Text constant. The string is shared: cloning a text value (into a
+    /// target tuple, through an egd merge, into a snapshot) bumps a
+    /// reference count instead of copying the bytes.
+    Text(Arc<str>),
 }
 
 /// An `f64` wrapper with total order and hashing by bit pattern.
@@ -65,7 +68,7 @@ impl Ord for OrderedF64 {
 
 impl Value {
     /// Build a text value.
-    pub fn text(s: impl Into<String>) -> Self {
+    pub fn text(s: impl Into<Arc<str>>) -> Self {
         Value::Text(s.into())
     }
 
@@ -178,13 +181,13 @@ impl From<i64> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Text(v.to_owned())
+        Value::Text(v.into())
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Text(v)
+        Value::Text(v.into())
     }
 }
 

@@ -73,7 +73,7 @@ fn star_instance(dims: usize, rows: usize, null_mask: &[bool]) -> Instance {
         }
     }
     for r in 0..rows {
-        let mut vals = vec![Value::Text(format!("fact{r}"))];
+        let mut vals = vec![Value::text(format!("fact{r}"))];
         for d in 0..dims {
             let null = null_mask
                 .get((r * dims + d) % null_mask.len().max(1))
@@ -82,10 +82,10 @@ fn star_instance(dims: usize, rows: usize, null_mask: &[bool]) -> Instance {
             vals.push(if null {
                 Value::Null
             } else {
-                Value::Text(format!("dim{d}-{}", r % rows))
+                Value::text(format!("dim{d}-{}", r % rows))
             });
         }
-        vals.push(Value::Text(format!("m{r}")));
+        vals.push(Value::text(format!("m{r}")));
         inst.insert("Fact", Tuple::new(vals), ConflictPolicy::Reject)
             .unwrap();
     }
