@@ -1,5 +1,5 @@
 //! Ablation benches for the design choices DESIGN.md calls out: script
-//! reuse, processing order, null pruning, pq-gram parameters and threading.
+//! reuse, processing order, null pruning and pq-gram parameters.
 
 use sedex_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sedex_core::{SedexConfig, SedexEngine};
@@ -68,24 +68,6 @@ fn bench_pq_parameters(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_threads(c: &mut Criterion) {
-    let s = basic(BasicKind::Un);
-    let inst = s.populate(2000, 7).unwrap();
-    let mut g = c.benchmark_group("ablation_threads_un_2k");
-    g.sample_size(10);
-    for threads in [1usize, 2, 4, 8] {
-        let engine = SedexEngine::with_config(SedexConfig {
-            threads,
-            batch_size: 512,
-            ..SedexConfig::default()
-        });
-        g.bench_function(format!("threads_{threads}"), |b| {
-            b.iter(|| engine.exchange(&inst, &s.target, &s.sigma).unwrap())
-        });
-    }
-    g.finish();
-}
-
 /// The paper's justification for pq-grams over tree edit distance:
 /// linear-time profiles vs the polynomial Zhang–Shasha DP. Both measured on
 /// growing trees.
@@ -135,7 +117,6 @@ criterion_group!(
     bench_reuse_ablation,
     bench_order_ablation,
     bench_pq_parameters,
-    bench_threads,
     bench_pqgram_vs_ted
 );
 criterion_main!(benches);

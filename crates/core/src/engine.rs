@@ -12,24 +12,16 @@
 //! Every knob the paper discusses (and every ablation DESIGN.md calls out)
 //! is a field of [`SedexConfig`].
 //!
-//! With `threads > 1` the *whole* per-batch pipeline runs in parallel, not
-//! just tree building: shape keys and slot values are computed on worker
-//! threads, the miss path (Match → translate → generate) fans out over the
-//! *distinct* unseen shapes of the batch (the matcher's cached profiles,
-//! the schema forest and Σ are immutable), and script execution resolves
-//! values in parallel and partitions inserts by target relation so egd/key
-//! checks stay serialized per relation. A serial *replay* of repository
-//! lookups, seen-marking and fresh-label assignment keeps the output —
-//! instance bytes, counters, repository contents, hit-event sequence —
-//! byte-identical to the single-threaded engine.
+//! The pipeline runs on one thread: seen-marking, repository lookups,
+//! fresh-label minting and egd-checked inserts must happen in row order,
+//! and DESIGN.md §10 records why fanning out the rest did not pay.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sedex_mapping::Correspondences;
 use sedex_observe::{Event, Observer, Phase};
-use sedex_storage::{ConflictPolicy, Instance, Schema, StorageError, Tuple, Value};
+use sedex_storage::{Instance, Schema, StorageError};
 use sedex_treerep::{repository_key, tuple_tree, SchemaForest, TreeConfig, TupleTree};
 
 use crate::cfd::CfdInterpreter;
@@ -37,7 +29,7 @@ use crate::marking::SeenSet;
 use crate::matcher::Matcher;
 use crate::metrics::ExchangeReport;
 use crate::repository::{RepositoryExport, ScriptRepository, DEFAULT_EVENT_LIMIT};
-use crate::script::{run_script, statement_tuple, FreshLabels, RunOutcome, Script};
+use crate::script::{run_script, RunOutcome, Script};
 use crate::scriptgen::generate_script;
 use crate::trace::Trace;
 use crate::translate::{slot_values, translate};
@@ -69,11 +61,6 @@ pub struct SedexConfig {
     pub prune_nulls: bool,
     /// Maximum tree depth.
     pub max_depth: usize,
-    /// Worker threads for the batch pipeline — tree building, shape keys,
-    /// the miss path over distinct shapes, and script execution; 1 =
-    /// serial. The output instance is byte-identical regardless of thread
-    /// count.
-    pub threads: usize,
     /// Record per-lookup hit events (needed only for the Fig. 14 curve).
     pub record_hit_events: bool,
     /// Cap on the recorded hit-event buffer between drains; lookups past
@@ -81,13 +68,9 @@ pub struct SedexConfig {
     /// buffer without bound (long-lived service sessions only drain on
     /// FLUSH).
     pub hit_event_limit: usize,
-    /// Tuples are processed in batches of this many rows (bounds memory in
-    /// the parallel phase).
+    /// Tuples are processed in batches of this many rows: a batch's tuple
+    /// trees are built together, so this bounds how many are alive at once.
     pub batch_size: usize,
-    /// Batches smaller than this stay serial even with `threads > 1`: the
-    /// fan-out overhead beats the work below here. Small service PUSH/FEED
-    /// batches can lower it to parallelize anyway.
-    pub parallel_threshold: usize,
     /// Exchanges slower than this emit a one-line structured record (with
     /// per-phase breakdown) to stderr and an
     /// [`Event::SlowExchange`] to the attached observer. `None` (default)
@@ -106,11 +89,9 @@ impl Default for SedexConfig {
             mark_seen: true,
             prune_nulls: true,
             max_depth: 32,
-            threads: 1,
             record_hit_events: false,
             hit_event_limit: DEFAULT_EVENT_LIMIT,
             batch_size: 8192,
-            parallel_threshold: 64,
             slow_exchange_threshold: None,
         }
     }
@@ -135,45 +116,6 @@ impl std::fmt::Debug for SedexEngine {
             )
             .finish()
     }
-}
-
-/// One executable item of a parallel batch: the (possibly reused) script,
-/// the tuple's slot values, and its pre-assigned fresh labels.
-type ExecItem<'a> = (Arc<Script>, &'a [&'a Value], FreshLabels);
-
-/// Chunked fork-join map over a slice on scoped threads, preserving item
-/// order. Falls back to a plain serial map when there is nothing to fan
-/// out. The closure must be pure (or at least commutative): items are
-/// mapped out of order across chunks.
-fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = threads.min(items.len());
-    if threads <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut parts: Vec<Vec<R>> = Vec::with_capacity(threads);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|part| {
-                let f = &f;
-                s.spawn(move || part.iter().map(f).collect::<Vec<R>>())
-            })
-            .collect();
-        for h in handles {
-            parts.push(h.join().expect("pipeline worker panicked"));
-        }
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for p in parts {
-        out.extend(p);
-    }
-    out
 }
 
 impl SedexEngine {
@@ -247,7 +189,7 @@ impl SedexEngine {
     /// Like [`SedexEngine::exchange`], but also returns the final script
     /// repository as an export — entries sorted by shape key plus the
     /// lookup counters. Determinism tests compare the exports of runs at
-    /// different thread counts; warm-start pipelines seed a
+    /// different batch sizes; warm-start pipelines seed a
     /// [`crate::SedexSession`] from it.
     pub fn exchange_with_repository(
         &self,
@@ -322,27 +264,6 @@ impl SedexEngine {
                     self.build_batch(src, rel_name, batch_start..batch_end, &seen, &tree_cfg)?;
                 trace.end(Phase::TreeBuild, tb);
                 report.tuples_skipped_seen += skipped;
-
-                if cfg.threads > 1 && trees.len() >= cfg.parallel_threshold.max(1) {
-                    report.tg += tg0.elapsed();
-                    self.run_batch_parallel(
-                        rel_name,
-                        &trees,
-                        &matcher,
-                        &target_forest,
-                        sigma,
-                        target_schema,
-                        &mut seen,
-                        &mut repo,
-                        &mut target,
-                        &mut fresh_counter,
-                        &mut outcome,
-                        &mut report,
-                        &mut trace,
-                    )?;
-                    batch_start = batch_end;
-                    continue;
-                }
 
                 let mut tg_batch = tg0.elapsed();
                 for (row, tx) in trees {
@@ -429,245 +350,9 @@ impl SedexEngine {
         Ok((target, report, export))
     }
 
-    /// The parallel per-batch pipeline. Four stages:
-    ///
-    /// 1. **Prepare** (parallel): shape key + slot values per built tree —
-    ///    pure functions of the tree.
-    /// 2. **Plan** (serial, row order): seen re-check + marking, then the
-    ///    *distinct* shapes missing from the repository, in first-miss
-    ///    order.
-    /// 3. **Generate** (parallel): Match → translate → generate for each
-    ///    missing shape; then a serial row-order *replay* of repository
-    ///    lookups/inserts so counters, hit events and `new_keys` match the
-    ///    serial engine exactly.
-    /// 4. **Execute**: fresh labels are pre-assigned serially in row order
-    ///    (byte-identical to the serial engine's lazy minting), statement
-    ///    values resolve in parallel, and inserts are partitioned by
-    ///    target relation — per-relation order preserved, egd/key checks
-    ///    serialized per relation, relations running concurrently.
-    #[allow(clippy::too_many_arguments)]
-    fn run_batch_parallel(
-        &self,
-        rel_name: &str,
-        trees: &[(u32, TupleTree<'_>)],
-        matcher: &Matcher,
-        target_forest: &SchemaForest,
-        sigma: &Correspondences,
-        target_schema: &Schema,
-        seen: &mut SeenSet,
-        repo: &mut ScriptRepository,
-        target: &mut Instance,
-        fresh_counter: &mut u64,
-        outcome: &mut RunOutcome,
-        report: &mut ExchangeReport,
-        trace: &mut Trace,
-    ) -> Result<(), StorageError> {
-        let cfg = &self.config;
-        let threads = cfg.threads;
-        let obs = self.observer.as_deref();
-        let tg0 = Instant::now();
-
-        // Stage 1: shape keys and slot values, fanned out.
-        let preps: Vec<(String, Vec<&Value>)> = par_map(trees, threads, |(_, tx)| {
-            (repository_key(tx), slot_values(tx))
-        });
-
-        // Stage 2: serial planning in row order. Seen-marking must replay
-        // serially — a tuple earlier in the batch may mark a later one.
-        let mut kept: Vec<usize> = Vec::with_capacity(trees.len());
-        for (i, (row, tx)) in trees.iter().enumerate() {
-            if cfg.mark_seen && seen.is_seen(rel_name, *row) {
-                report.tuples_skipped_seen += 1;
-                continue;
-            }
-            if cfg.mark_seen {
-                seen.mark_all(&tx.visited);
-            }
-            kept.push(i);
-        }
-
-        // Distinct shapes needing generation, in first-miss order. With
-        // reuse off every kept tuple regenerates its script individually —
-        // the `ablation_reuse` semantics are preserved, only parallelized.
-        let missing: Vec<usize> = if cfg.reuse_scripts {
-            let mut pending: HashSet<&str> = HashSet::new();
-            kept.iter()
-                .copied()
-                .filter(|&i| {
-                    let key = preps[i].0.as_str();
-                    !repo.contains(key) && pending.insert(key)
-                })
-                .collect()
-        } else {
-            kept.clone()
-        };
-
-        // Stage 3a: the miss path fans out — matcher profiles, forests and
-        // Σ are immutable. Workers time their own phases; the totals merge
-        // below (an aggregate of per-shape CPU time, exactly like the
-        // serial engine's per-tuple sums).
-        let miss_trees: Vec<&TupleTree<'_>> = missing.iter().map(|&i| &trees[i].1).collect();
-        let generated = par_map(&miss_trees, threads, |tx| {
-            let mut wtrace = Trace::new(obs, cfg.slow_exchange_threshold);
-            let script = self.generate_for(
-                tx,
-                matcher,
-                target_forest,
-                sigma,
-                target_schema,
-                &mut wtrace,
-            );
-            (script, wtrace.totals)
-        });
-        let mut gen_slots: Vec<Option<Script>> = Vec::with_capacity(generated.len());
-        for (script, totals) in generated {
-            for (phase, nanos) in totals.iter() {
-                if nanos > 0 {
-                    trace.totals.add(phase, nanos);
-                }
-            }
-            gen_slots.push(Some(script));
-        }
-        let gen_index: HashMap<&str, usize> = missing
-            .iter()
-            .enumerate()
-            .map(|(slot, &i)| (preps[i].0.as_str(), slot))
-            .collect();
-
-        // Stage 3b: serial replay of repository lookups in row order. The
-        // first tuple of a missing shape takes the miss and inserts the
-        // generated script; same-shape successors then hit — counters,
-        // recorded events and the new-key log come out identical to the
-        // serial engine's.
-        let mut scripts: Vec<Option<Arc<Script>>> = Vec::with_capacity(kept.len());
-        for (j, &i) in kept.iter().enumerate() {
-            let key = preps[i].0.as_str();
-            let cached = if cfg.reuse_scripts {
-                repo.lookup(key)
-            } else {
-                None
-            };
-            let script = match cached {
-                Some(s) => {
-                    report.scripts_reused += 1;
-                    trace.lookup(true);
-                    s
-                }
-                None => {
-                    report.scripts_generated += 1;
-                    trace.lookup(false);
-                    let slot = if cfg.reuse_scripts { gen_index[key] } else { j };
-                    let generated = gen_slots[slot]
-                        .take()
-                        .expect("each generated script resolves exactly one miss");
-                    if generated.is_empty() {
-                        report.tuples_unmatched += 1;
-                    }
-                    repo.insert(key.to_owned(), generated)
-                }
-            };
-            report.tuples_processed += 1;
-            scripts.push((!script.is_empty()).then_some(script));
-        }
-        report.tg += tg0.elapsed();
-
-        // Stage 4: execution.
-        let te0 = Instant::now();
-
-        // Fresh labels are pre-assigned in serial row order, visiting
-        // statements and assignments exactly as `run_script` would — the
-        // label sequence is byte-identical to the serial engine's.
-        let mut exec: Vec<ExecItem<'_>> = Vec::with_capacity(kept.len());
-        for (j, &i) in kept.iter().enumerate() {
-            let Some(script) = &scripts[j] else { continue };
-            let fresh = FreshLabels::for_script(script, fresh_counter);
-            exec.push((Arc::clone(script), preps[i].1.as_slice(), fresh));
-        }
-
-        // Statement tuples resolve in parallel — pure per-tuple work, built
-        // exactly as `run_script` builds them. An unknown relation surfaces
-        // as the first failing statement in row order, the error the
-        // serial engine returns (both paths then drop the target).
-        let schema = target.schema();
-        let resolved: Vec<Result<Vec<(usize, Tuple)>, StorageError>> =
-            par_map(&exec, threads, |(script, slots, fresh)| {
-                script
-                    .statements
-                    .iter()
-                    .map(|st| {
-                        statement_tuple(st, schema, slots, |id| {
-                            fresh
-                                .get(id)
-                                .expect("surrogates are minted before execution")
-                        })
-                    })
-                    .collect()
-            });
-
-        // Partition by target relation, preserving the serial insert order
-        // within each relation; then each relation runs its egd/key-checked
-        // inserts on its own thread — conflict semantics are per-relation
-        // (no cross-relation state), so relations commute.
-        let timing = obs.is_some() || cfg.slow_exchange_threshold.is_some();
-        let mut per_rel: Vec<Vec<Tuple>> = vec![Vec::new(); schema.len()];
-        for stmts in resolved {
-            for (ri, tuple) in stmts? {
-                per_rel[ri].push(tuple);
-            }
-        }
-        let jobs: Vec<_> = per_rel
-            .into_iter()
-            .zip(target.relations_mut())
-            .enumerate()
-            .filter(|(_, (tuples, _))| !tuples.is_empty())
-            .map(|(ri, (tuples, rel))| (ri, tuples, rel))
-            .collect();
-        let mut results: Vec<(usize, Result<RunOutcome, StorageError>, u64)> =
-            Vec::with_capacity(jobs.len());
-        std::thread::scope(|s| {
-            let handles: Vec<_> = jobs
-                .into_iter()
-                .map(|(ri, tuples, rel)| {
-                    s.spawn(move || {
-                        let started = timing.then(Instant::now);
-                        let mut out = RunOutcome::default();
-                        for tuple in tuples {
-                            if let Err(e) = out.record(rel.insert(tuple, ConflictPolicy::Merge)) {
-                                return (ri, Err(e), 0);
-                            }
-                        }
-                        let nanos = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                        (ri, Ok(out), nanos)
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("script-execution worker panicked"));
-            }
-        });
-        results.sort_by_key(|&(ri, _, _)| ri);
-        let mut batch_outcome = RunOutcome::default();
-        let mut run_nanos = 0u64;
-        for (_, res, nanos) in results {
-            batch_outcome += res?;
-            run_nanos += nanos;
-        }
-        if run_nanos > 0 {
-            trace.totals.add(Phase::ScriptRun, run_nanos);
-            trace.emit(&Event::Phase {
-                phase: Phase::ScriptRun,
-                nanos: run_nanos,
-            });
-        }
-        trace.outcome(&batch_outcome);
-        *outcome += batch_outcome;
-        report.te += te0.elapsed();
-        Ok(())
-    }
-
-    /// Build tuple trees for the unseen rows of one batch, optionally in
-    /// parallel. Returns `(row, tree)` pairs in ascending row order, plus
-    /// the number of rows skipped because they were already seen.
+    /// Build tuple trees for the unseen rows of one batch. Returns
+    /// `(row, tree)` pairs in ascending row order, plus the number of rows
+    /// skipped because they were already seen.
     fn build_batch<'s>(
         &self,
         src: &'s Instance,
@@ -681,39 +366,10 @@ impl SedexEngine {
             .filter(|&r| !(self.config.mark_seen && seen.is_seen(rel_name, r)))
             .collect();
         let skipped = total - todo.len();
-        if todo.is_empty() {
-            return Ok((Vec::new(), skipped));
-        }
-        if self.config.threads <= 1 || todo.len() < self.config.parallel_threshold.max(1) {
-            return todo
-                .into_iter()
-                .map(|r| tuple_tree(src, rel_name, r, tree_cfg).map(|t| (r, t)))
-                .collect::<Result<Vec<_>, _>>()
-                .map(|v| (v, skipped));
-        }
-        let threads = self.config.threads.min(todo.len());
-        let chunk = todo.len().div_ceil(threads);
-        let mut out: Vec<Result<Vec<(u32, TupleTree<'s>)>, StorageError>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = todo
-                .chunks(chunk)
-                .map(|part| {
-                    s.spawn(move || {
-                        part.iter()
-                            .map(|&r| tuple_tree(src, rel_name, r, tree_cfg).map(|t| (r, t)))
-                            .collect::<Result<Vec<_>, _>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                out.push(h.join().expect("tree-building worker panicked"));
-            }
-        });
-        let mut flat = Vec::with_capacity(todo_len(&out));
-        for part in out {
-            flat.extend(part?);
-        }
-        Ok((flat, skipped))
+        todo.into_iter()
+            .map(|r| tuple_tree(src, rel_name, r, tree_cfg).map(|t| (r, t)))
+            .collect::<Result<Vec<_>, _>>()
+            .map(|v| (v, skipped))
     }
 
     /// The miss path: Match → translate → generate.
@@ -743,10 +399,6 @@ impl SedexEngine {
         trace.end(Phase::ScriptGen, g0);
         script
     }
-}
-
-fn todo_len(parts: &[Result<Vec<(u32, TupleTree<'_>)>, StorageError>]) -> usize {
-    parts.iter().map(|p| p.as_ref().map_or(0, Vec::len)).sum()
 }
 
 #[cfg(test)]
@@ -871,125 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_agree() {
-        let (mut src, target_schema, sigma) = university();
-        // Enough rows to exercise the parallel path.
-        for i in 0..500 {
-            src.insert(
-                "Registration",
-                sedex_storage::tuple!["s1", format!("c{i}"), format!("dt{i}")],
-                ConflictPolicy::Allow,
-            )
-            .unwrap();
-        }
-        let serial = SedexEngine::new();
-        let parallel = SedexEngine::with_config(SedexConfig {
-            threads: 4,
-            batch_size: 128,
-            ..SedexConfig::default()
-        });
-        let (o1, _) = serial.exchange(&src, &target_schema, &sigma).unwrap();
-        let (o2, _) = parallel.exchange(&src, &target_schema, &sigma).unwrap();
-        assert_eq!(o1.stats(), o2.stats());
-        assert_eq!(
-            o1.relation("Reg").unwrap().len(),
-            o2.relation("Reg").unwrap().len()
-        );
-    }
-
-    /// The parallel-pipeline acceptance criterion at unit scale: the
-    /// threshold defaults to 64, a huge threshold keeps threads > 1 fully
-    /// serial, and forcing the parallel pipeline (threshold 1) produces a
-    /// byte-identical instance, identical counters, an identical hit/miss
-    /// sequence and identical repository contents.
-    #[test]
-    fn parallel_threshold_gates_the_pipeline_and_output_is_byte_identical() {
-        assert_eq!(SedexConfig::default().parallel_threshold, 64);
-        let (mut src, target_schema, sigma) = university();
-        for i in 0..300 {
-            src.insert(
-                "Registration",
-                sedex_storage::tuple![format!("s{}", 1 + i % 2), format!("c{i}"), format!("dt{i}")],
-                ConflictPolicy::Allow,
-            )
-            .unwrap();
-        }
-        let serial = SedexEngine::with_config(SedexConfig {
-            record_hit_events: true,
-            ..SedexConfig::default()
-        });
-        let gated = SedexEngine::with_config(SedexConfig {
-            threads: 8,
-            parallel_threshold: usize::MAX,
-            record_hit_events: true,
-            ..SedexConfig::default()
-        });
-        let forced = SedexEngine::with_config(SedexConfig {
-            threads: 8,
-            parallel_threshold: 1,
-            batch_size: 64,
-            record_hit_events: true,
-            ..SedexConfig::default()
-        });
-        let (o1, r1, x1) = serial
-            .exchange_with_repository(&src, &target_schema, &sigma)
-            .unwrap();
-        let (o2, _, _) = gated
-            .exchange_with_repository(&src, &target_schema, &sigma)
-            .unwrap();
-        let (o3, r3, x3) = forced
-            .exchange_with_repository(&src, &target_schema, &sigma)
-            .unwrap();
-        assert_eq!(format!("{o1}"), format!("{o2}"));
-        assert_eq!(format!("{o1}"), format!("{o3}"));
-        assert_eq!(
-            (r1.scripts_generated, r1.scripts_reused, r1.tuples_processed),
-            (r3.scripts_generated, r3.scripts_reused, r3.tuples_processed),
-        );
-        assert_eq!(
-            (r1.inserted, r1.merged, r1.violations),
-            (r3.inserted, r3.merged, r3.violations),
-        );
-        // Same lookup outcomes in the same order (timestamps differ).
-        let hits = |r: &ExchangeReport| r.hit_events.iter().map(|e| e.hit).collect::<Vec<_>>();
-        assert_eq!(hits(&r1), hits(&r3));
-        // Same repository contents and counters.
-        assert_eq!(x1.entries, x3.entries);
-        assert_eq!((x1.hits, x1.misses), (x3.hits, x3.misses));
-    }
-
-    /// The `ablation_reuse` semantics survive the parallel pipeline: with
-    /// reuse off, every tuple regenerates (no dedup by shape), and the
-    /// output still matches the serial no-reuse engine.
-    #[test]
-    fn parallel_no_reuse_matches_serial_no_reuse() {
-        let (mut src, target_schema, sigma) = university();
-        for i in 0..200 {
-            src.insert(
-                "Registration",
-                sedex_storage::tuple!["s1", format!("c{i}"), format!("dt{i}")],
-                ConflictPolicy::Allow,
-            )
-            .unwrap();
-        }
-        let cfg = SedexConfig {
-            reuse_scripts: false,
-            ..SedexConfig::default()
-        };
-        let serial = SedexEngine::with_config(cfg.clone());
-        let parallel = SedexEngine::with_config(SedexConfig {
-            threads: 4,
-            parallel_threshold: 1,
-            ..cfg
-        });
-        let (o1, r1) = serial.exchange(&src, &target_schema, &sigma).unwrap();
-        let (o2, r2) = parallel.exchange(&src, &target_schema, &sigma).unwrap();
-        assert_eq!(format!("{o1}"), format!("{o2}"));
-        assert_eq!(r1.scripts_generated, r2.scripts_generated);
-        assert_eq!(r2.scripts_reused, 0);
-    }
-
-    #[test]
     fn scripts_are_reused_for_same_shape() {
         let (mut src, target_schema, sigma) = university();
         for i in 0..50 {
@@ -1018,28 +551,6 @@ mod tests {
         assert!(report.phases.is_zero(), "phases: {:?}", report.phases);
     }
 
-    /// The same invariant holds on the parallel pipeline: worker traces
-    /// read no clocks either.
-    #[test]
-    fn parallel_pipeline_records_no_phase_timings_without_observer() {
-        let (mut src, target_schema, sigma) = university();
-        for i in 0..200 {
-            src.insert(
-                "Registration",
-                sedex_storage::tuple!["s1", format!("c{i}"), format!("dt{i}")],
-                ConflictPolicy::Allow,
-            )
-            .unwrap();
-        }
-        let engine = SedexEngine::with_config(SedexConfig {
-            threads: 4,
-            parallel_threshold: 1,
-            ..SedexConfig::default()
-        });
-        let (_, report) = engine.exchange(&src, &target_schema, &sigma).unwrap();
-        assert!(report.phases.is_zero(), "phases: {:?}", report.phases);
-    }
-
     #[test]
     fn attached_registry_observer_fills_the_registry_live() {
         use sedex_observe::{names, MetricsRegistry, RegistryObserver};
@@ -1057,39 +568,6 @@ mod tests {
             registry.counter_value(names::ROWS_INSERTED_TOTAL),
             Some(report.inserted as u64)
         );
-    }
-
-    /// The registry counters come out the same whether the pipeline ran
-    /// serial or parallel — lookup/outcome events are count-carrying.
-    #[test]
-    fn parallel_registry_counters_match_serial() {
-        use sedex_observe::{names, MetricsRegistry, RegistryObserver};
-        let (mut src, target_schema, sigma) = university();
-        for i in 0..150 {
-            src.insert(
-                "Registration",
-                sedex_storage::tuple!["s1", format!("c{i}"), format!("dt{i}")],
-                ConflictPolicy::Allow,
-            )
-            .unwrap();
-        }
-        let count = |threads: usize, threshold: usize| {
-            let registry = MetricsRegistry::new();
-            let engine = SedexEngine::with_config(SedexConfig {
-                threads,
-                parallel_threshold: threshold,
-                ..SedexConfig::default()
-            })
-            .with_observer(Arc::new(RegistryObserver::new(&registry)));
-            engine.exchange(&src, &target_schema, &sigma).unwrap();
-            (
-                registry.counter_value(names::TUPLES_TOTAL),
-                registry.counter_value(names::ROWS_INSERTED_TOTAL),
-                registry.counter_value(names::EGD_MERGE_TOTAL),
-                registry.counter_value(names::VIOLATION_TOTAL),
-            )
-        };
-        assert_eq!(count(1, 64), count(4, 1));
     }
 
     #[test]

@@ -93,62 +93,57 @@ impl fmt::Display for ReportVerbose<'_> {
 /// `@fN`. Two tuples with the same tuple-tree shape share this template
 /// verbatim — it is the textual form of what the repository caches.
 pub fn sql_template(script: &Script, schema: &Schema) -> String {
-    let mut out = String::new();
-    for st in &script.statements {
-        let Some(rel) = schema.relation(&st.relation) else {
-            continue;
+    use std::fmt::Write as _;
+    write_inserts(script, schema, |out, slot| {
+        let _ = match slot {
+            SlotRef::Src(i) => write!(out, "${i}"),
+            SlotRef::Fresh(f) => write!(out, "@f{f}"),
         };
-        let cols: Vec<&str> = st
-            .assignments
-            .iter()
-            .map(|&(c, _)| rel.columns[c].name.as_str())
-            .collect();
-        let vals: Vec<String> = st
-            .assignments
-            .iter()
-            .map(|&(_, slot)| match slot {
-                SlotRef::Src(i) => format!("${i}"),
-                SlotRef::Fresh(f) => format!("@f{f}"),
-            })
-            .collect();
-        out.push_str(&format!(
-            "INSERT INTO {} ({}) VALUES ({});\n",
-            st.relation,
-            cols.join(", "),
-            vals.join(", ")
-        ));
-    }
-    out
+    })
 }
 
 /// Render a script as concrete SQL statements for one tuple's slot values.
 /// Surrogates render as `NULL /* surrogate fN */` — a relational engine
 /// would bind them to generated keys.
 pub fn sql_statements(script: &Script, schema: &Schema, values: &[&Value]) -> String {
+    use std::fmt::Write as _;
+    write_inserts(script, schema, |out, slot| match slot {
+        SlotRef::Src(i) => write_sql_literal(out, values.get(i).copied().unwrap_or(&Value::Null)),
+        SlotRef::Fresh(f) => {
+            let _ = write!(out, "NULL /* surrogate f{f} */");
+        }
+    })
+}
+
+/// One `INSERT INTO rel (cols) VALUES (…);` line per statement of `script`
+/// whose relation `schema` knows, each value written in place by `slot`.
+fn write_inserts(
+    script: &Script,
+    schema: &Schema,
+    mut slot: impl FnMut(&mut String, SlotRef),
+) -> String {
     let mut out = String::new();
     for st in &script.statements {
         let Some(rel) = schema.relation(&st.relation) else {
             continue;
         };
-        let cols: Vec<&str> = st
-            .assignments
-            .iter()
-            .map(|&(c, _)| rel.columns[c].name.as_str())
-            .collect();
-        let vals: Vec<String> = st
-            .assignments
-            .iter()
-            .map(|&(_, slot)| match slot {
-                SlotRef::Src(i) => sql_literal(values.get(i).copied().unwrap_or(&Value::Null)),
-                SlotRef::Fresh(f) => format!("NULL /* surrogate f{f} */"),
-            })
-            .collect();
-        out.push_str(&format!(
-            "INSERT INTO {} ({}) VALUES ({});\n",
-            st.relation,
-            cols.join(", "),
-            vals.join(", ")
-        ));
+        out.push_str("INSERT INTO ");
+        out.push_str(&st.relation);
+        out.push_str(" (");
+        for (k, &(col, _)) in st.assignments.iter().enumerate() {
+            if k > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(&rel.columns[col].name);
+        }
+        out.push_str(") VALUES (");
+        for (k, &(_, s)) in st.assignments.iter().enumerate() {
+            if k > 0 {
+                out.push_str(", ");
+            }
+            slot(&mut out, s);
+        }
+        out.push_str(");\n");
     }
     out
 }
@@ -294,6 +289,35 @@ mod tests {
         assert_eq!(
             sql,
             "INSERT INTO Stu (student, prog) VALUES ('s''1', 'p1');\n"
+        );
+    }
+
+    /// Both renderers share one writer: surrogates become `@fN` in the
+    /// template and a commented `NULL` in concrete statements, and
+    /// statements naming an unknown relation are left out of both.
+    #[test]
+    fn surrogates_and_unknown_relations_render_alike_in_both_forms() {
+        use crate::script::Statement;
+        let (_, tgt, _) = setup();
+        let script = Script {
+            statements: vec![
+                Statement {
+                    relation: "Stu".into(),
+                    assignments: vec![(0, SlotRef::Fresh(2)), (1, SlotRef::Src(5))],
+                },
+                Statement {
+                    relation: "Missing".into(),
+                    assignments: vec![(0, SlotRef::Src(0))],
+                },
+            ],
+        };
+        assert_eq!(
+            sql_template(&script, &tgt),
+            "INSERT INTO Stu (student, prog) VALUES (@f2, $5);\n"
+        );
+        assert_eq!(
+            sql_statements(&script, &tgt, &[&Value::int(1)]),
+            "INSERT INTO Stu (student, prog) VALUES (NULL /* surrogate f2 */, NULL);\n"
         );
     }
 

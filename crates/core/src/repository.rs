@@ -122,13 +122,6 @@ impl ScriptRepository {
         found
     }
 
-    /// Whether a script is stored under `key` — no counters are touched
-    /// (used by the parallel planner to find the distinct missing shapes of
-    /// a batch before the serial lookup replay).
-    pub fn contains(&self, key: &str) -> bool {
-        self.map.contains_key(key)
-    }
-
     /// Store a freshly generated script under its shape key. The key is
     /// remembered as *new* until the next [`ScriptRepository::take_new_scripts`]
     /// drain — how the service knows which scripts still need a WAL record.
@@ -271,15 +264,6 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert_eq!(r.lookup("a").unwrap().statements[0].relation, "T");
         assert_eq!(r.lookup("b").unwrap().statements[0].relation, "U");
-    }
-
-    #[test]
-    fn contains_does_not_count() {
-        let mut r = ScriptRepository::new(false);
-        assert!(!r.contains("k"));
-        r.insert("k".into(), dummy_script("T"));
-        assert!(r.contains("k"));
-        assert_eq!((r.hits(), r.misses()), (0, 0));
     }
 
     #[test]

@@ -93,11 +93,11 @@ impl std::ops::AddAssign for RunOutcome {
 /// The fresh labels of one script run: `(surrogate id, label)` in minting
 /// order. A script names a handful of surrogates, so a scan beats a map.
 #[derive(Debug, Default)]
-pub(crate) struct FreshLabels(Vec<(u32, u64)>);
+struct FreshLabels(Vec<(u32, u64)>);
 
 impl FreshLabels {
     /// Surrogate `id`'s label, minted from `counter` on first use.
-    pub(crate) fn get_or_mint(&mut self, id: u32, counter: &mut u64) -> u64 {
+    fn get_or_mint(&mut self, id: u32, counter: &mut u64) -> u64 {
         if let Some(label) = self.get(id) {
             return label;
         }
@@ -108,35 +108,19 @@ impl FreshLabels {
     }
 
     /// Surrogate `id`'s label, if minted.
-    pub(crate) fn get(&self, id: u32) -> Option<u64> {
+    fn get(&self, id: u32) -> Option<u64> {
         self.0
             .iter()
             .find(|&&(i, _)| i == id)
             .map(|&(_, label)| label)
-    }
-
-    /// Mint every surrogate of `script` in the order [`run_script`] meets
-    /// them — statements, then assignments, in order.
-    pub(crate) fn for_script(script: &Script, counter: &mut u64) -> Self {
-        let mut fresh = FreshLabels::default();
-        for st in &script.statements {
-            for &(_, slot) in &st.assignments {
-                if let SlotRef::Fresh(id) = slot {
-                    fresh.get_or_mint(id, counter);
-                }
-            }
-        }
-        fresh
     }
 }
 
 /// Resolve one statement against the target schema: the relation's schema
 /// position (its [`Instance::insert_at`] index) and the tuple to insert —
 /// assigned slot values cloned (a reference-count bump for text),
-/// surrogates labeled by `label`, every other column an SQL null. Both the
-/// serial [`run_script`] and the engine's parallel execution build their
-/// tuples here.
-pub(crate) fn statement_tuple(
+/// surrogates labeled by `label`, every other column an SQL null.
+fn statement_tuple(
     st: &Statement,
     schema: &Schema,
     values: &[&Value],

@@ -3,16 +3,13 @@
 //!
 //! ```text
 //! sedex run <file.sdx> [--engine sedex|edex|clio|mapmerge|spicy]
-//!                      [--threads N] [--batch-size N]
-//!                      [--parallel-threshold N]
-//!                      [--metrics-out <path>] [--slow-ms N]
+//!                      [--batch-size N] [--metrics-out <path>] [--slow-ms N]
 //!                      [--sql] [--xml-sample] [--quiet] [--verbose]
 //! sedex check <file.sdx>        # parse + validate only
 //! sedex trees <file.sdx>        # print source/target relation trees
 //! sedex gen <kind> [--tuples N] # emit a ready-to-run scenario file
 //! sedex serve [--addr A] [--workers N] [--shards N] [--queue-depth N]
 //!             [--idle-ttl SECS] [--metrics] [--slow-ms N]
-//!             [--engine-threads N] [--parallel-threshold N]
 //!             [--data-dir DIR] [--fsync always|every-N|off]
 //!             [--snapshot-every N] [--request-timeout MS]
 //!             [--max-conns N] [--shed-queue-depth N]
@@ -71,7 +68,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage:\n  sedex run <file.sdx> [--engine sedex|edex|clio|mapmerge|spicy] [--threads N] [--batch-size N] [--parallel-threshold N] [--metrics-out <path>] [--slow-ms N] [--sql] [--quiet] [--verbose]\n  sedex check <file.sdx>\n  sedex trees <file.sdx>\n  sedex gen <university|stb|amb|cp|cv|hp|sk|vp|un|ne|de|ko|av> [--tuples N]\n  sedex serve [--addr host:port] [--workers N] [--shards N] [--queue-depth N] [--idle-ttl SECS] [--metrics] [--slow-ms N] [--engine-threads N] [--parallel-threshold N] [--data-dir DIR] [--fsync always|every-N|off] [--snapshot-every N] [--request-timeout MS] [--max-conns N] [--shed-queue-depth N] [--pipeline-window N] [--trace-buffer N] [--cluster] [--node-id ID] [--advertise host:port] [--peers host:port,...] [--heartbeat-ms N] [--failover-ms N] [--replication-factor R]\n  sedex cluster status [--addr host:port]\n  sedex recover <data-dir>"
+    "usage:\n  sedex run <file.sdx> [--engine sedex|edex|clio|mapmerge|spicy] [--batch-size N] [--metrics-out <path>] [--slow-ms N] [--sql] [--quiet] [--verbose]\n  sedex check <file.sdx>\n  sedex trees <file.sdx>\n  sedex gen <university|stb|amb|cp|cv|hp|sk|vp|un|ne|de|ko|av> [--tuples N]\n  sedex serve [--addr host:port] [--workers N] [--shards N] [--queue-depth N] [--idle-ttl SECS] [--metrics] [--slow-ms N] [--data-dir DIR] [--fsync always|every-N|off] [--snapshot-every N] [--request-timeout MS] [--max-conns N] [--shed-queue-depth N] [--pipeline-window N] [--trace-buffer N] [--cluster] [--node-id ID] [--advertise host:port] [--peers host:port,...] [--heartbeat-ms N] [--failover-ms N] [--replication-factor R]\n  sedex cluster status [--addr host:port]\n  sedex recover <data-dir>"
         .to_owned()
 }
 
@@ -204,8 +201,7 @@ fn generate(args: &[String]) -> Result<(), String> {
 
 /// `sedex serve [--addr host:port] [--workers N] [--shards N]
 /// [--queue-depth N] [--idle-ttl SECS] [--metrics] [--slow-ms N]
-/// [--engine-threads N] [--parallel-threshold N] [--data-dir DIR]
-/// [--fsync always|every-N|off] [--snapshot-every N]
+/// [--data-dir DIR] [--fsync always|every-N|off] [--snapshot-every N]
 /// [--request-timeout MS] [--max-conns N] [--shed-queue-depth N]
 /// [--pipeline-window N] [--trace-buffer N]`:
 /// run the multi-tenant exchange server until a wire `SHUTDOWN` arrives.
@@ -251,16 +247,6 @@ fn serve(flags: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|e| format!("--slow-ms: {e}"))?;
                 cfg.slow_exchange_threshold = Some(std::time::Duration::from_millis(ms));
-            }
-            "--engine-threads" => {
-                cfg.engine_threads = value("--engine-threads")?
-                    .parse()
-                    .map_err(|e| format!("--engine-threads: {e}"))?;
-            }
-            "--parallel-threshold" => {
-                cfg.parallel_threshold = value("--parallel-threshold")?
-                    .parse()
-                    .map_err(|e| format!("--parallel-threshold: {e}"))?;
             }
             "--data-dir" => {
                 cfg.data_dir = Some(std::path::PathBuf::from(value("--data-dir")?));
@@ -435,26 +421,12 @@ fn run_exchange(file: &ScenarioFile, flags: &[String]) -> Result<(), String> {
                     .ok_or_else(|| "--engine needs a value".to_owned())?
                     .clone();
             }
-            "--threads" => {
-                config.threads = it
-                    .next()
-                    .ok_or_else(|| "--threads needs a value".to_owned())?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
             "--batch-size" => {
                 config.batch_size = it
                     .next()
                     .ok_or_else(|| "--batch-size needs a value".to_owned())?
                     .parse()
                     .map_err(|e| format!("--batch-size: {e}"))?;
-            }
-            "--parallel-threshold" => {
-                config.parallel_threshold = it
-                    .next()
-                    .ok_or_else(|| "--parallel-threshold needs a value".to_owned())?
-                    .parse()
-                    .map_err(|e| format!("--parallel-threshold: {e}"))?;
             }
             "--metrics-out" => {
                 metrics_out = Some(

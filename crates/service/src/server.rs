@@ -78,14 +78,6 @@ pub struct ServerConfig {
     /// Per-tuple slow-exchange threshold passed to every session: pushes
     /// slower than this log a one-line phase breakdown to stderr.
     pub slow_exchange_threshold: Option<Duration>,
-    /// Engine threads per session for the batch pipeline (`RUN`, and any
-    /// future bulk command). 1 (the default) keeps sessions serial —
-    /// server-level parallelism already comes from the worker pool; raise
-    /// it only when single large exchanges dominate the workload.
-    pub engine_threads: usize,
-    /// Batches smaller than this stay serial even with `engine_threads >
-    /// 1` (passed through to [`SedexConfig::parallel_threshold`]).
-    pub parallel_threshold: usize,
     /// Durability root. `Some(dir)` turns on write-ahead logging and
     /// snapshots under `dir/shard-<i>/`; at startup the server recovers
     /// every session persisted there. `None` (the default) keeps the server
@@ -156,8 +148,6 @@ impl Default for ServerConfig {
             sweep_interval: Duration::from_millis(500),
             metrics: false,
             slow_exchange_threshold: None,
-            engine_threads: 1,
-            parallel_threshold: SedexConfig::default().parallel_threshold,
             data_dir: None,
             fsync: FsyncPolicy::Always,
             snapshot_every: 1024,
@@ -573,8 +563,6 @@ impl Server {
         let stats = ServerStats::new(&registry);
         let session_config = SedexConfig {
             slow_exchange_threshold: cfg.slow_exchange_threshold,
-            threads: cfg.engine_threads.max(1),
-            parallel_threshold: cfg.parallel_threshold,
             ..SedexConfig::default()
         };
         let observer: Option<Arc<dyn Observer>> = if cfg.metrics {

@@ -137,16 +137,6 @@ impl Instance {
         Ok(&mut self.relations[idx])
     }
 
-    /// Mutable access to *every* relation instance at once, in schema
-    /// order. The references are disjoint, so callers may hand each
-    /// relation to a different thread — the engine's parallel script
-    /// execution partitions inserts by target relation this way (egd/key
-    /// checks stay serialized per relation). Bumps the epoch.
-    pub fn relations_mut(&mut self) -> &mut [RelationInstance] {
-        self.epoch += 1;
-        &mut self.relations
-    }
-
     /// Iterate `(name, relation_instance)` in schema order.
     pub fn relations(&self) -> impl Iterator<Item = (&str, &RelationInstance)> {
         self.relations.iter().map(|r| (r.schema().name.as_str(), r))

@@ -1,14 +1,13 @@
 //! A realistic domain scenario: migrating an order-management schema into a
-//! reporting warehouse, with CFD-based enrichment and multi-threading.
+//! reporting warehouse, with CFD-based enrichment.
 //!
 //! Run with: `cargo run -p sedex --release --example warehouse_migration`
 //!
 //! Demonstrates: foreign-key chains (orders → customers → regions),
 //! denormalization into a wide fact table, conditional functional
-//! dependencies filling in missing data, script reuse at scale, and the
-//! parallel tree-building mode.
+//! dependencies filling in missing data, and script reuse at scale.
 
-use sedex::core::{Cfd, CfdInterpreter, SedexConfig, SedexEngine};
+use sedex::core::{Cfd, CfdInterpreter, SedexEngine};
 use sedex::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -120,12 +119,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     ]);
 
-    // --- exchange, parallel ----------------------------------------------
-    let engine = SedexEngine::with_config(SedexConfig {
-        threads: 4,
-        ..SedexConfig::default()
-    })
-    .with_cfds(cfds);
+    // --- exchange --------------------------------------------------------
+    let engine = SedexEngine::new().with_cfds(cfds);
     let (out, report) = engine.exchange(&src, &target_schema, &sigma)?;
 
     println!(
@@ -153,6 +148,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dim = out.relation("dim_region").unwrap();
     let apac = dim.lookup_pk(&[Value::text("apac")]).expect("apac row");
     assert_eq!(apac.values()[1], Value::text("USD"));
-    println!("\nWarehouse migration complete — CFD-repaired, deduplicated, parallel.");
+    println!("\nWarehouse migration complete — CFD-repaired, deduplicated.");
     Ok(())
 }

@@ -126,28 +126,26 @@ fn gen_produces_runnable_files() {
 }
 
 #[test]
-fn run_with_threads_and_batch_size_matches_serial() {
-    let serial = Command::new(sedex_bin())
+fn run_with_batch_size_matches_default() {
+    let default = Command::new(sedex_bin())
         .args(["run", &repo_file("university.sdx"), "--quiet"])
         .output()
         .expect("run sedex");
-    assert!(serial.status.success());
-    let parallel = Command::new(sedex_bin())
+    assert!(default.status.success());
+    let batched = Command::new(sedex_bin())
         .args([
             "run",
             &repo_file("university.sdx"),
             "--quiet",
-            "--threads",
-            "3",
             "--batch-size",
             "4",
         ])
         .output()
         .expect("run sedex");
     assert!(
-        parallel.status.success(),
+        batched.status.success(),
         "{}",
-        String::from_utf8_lossy(&parallel.stderr)
+        String::from_utf8_lossy(&batched.stderr)
     );
     // Same counters either way: the summary line is identical up to times.
     let strip = |s: &[u8]| {
@@ -163,7 +161,25 @@ fn run_with_threads_and_batch_size_matches_serial() {
             .collect::<Vec<_>>()
             .join("\n")
     };
-    assert_eq!(strip(&serial.stdout), strip(&parallel.stdout));
+    assert_eq!(strip(&default.stdout), strip(&batched.stdout));
+}
+
+/// The engine is single-threaded: the removed thread-count flags are
+/// rejected, so a script still passing them fails instead of running
+/// something other than what it asked for.
+#[test]
+fn removed_thread_flags_are_unknown() {
+    let run_flags = ["run", &repo_file("university.sdx"), "--threads", "2"];
+    let serve_flags = ["serve", "--addr", "127.0.0.1:0", "--engine-threads", "2"];
+    for args in [&run_flags[..], &serve_flags[..]] {
+        let out = Command::new(sedex_bin())
+            .args(args)
+            .output()
+            .expect("run sedex");
+        assert!(!out.status.success(), "{args:?} succeeded");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

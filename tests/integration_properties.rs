@@ -283,7 +283,7 @@ fn clio_universal_solution_covers_sedex_constants() {
 }
 
 #[test]
-fn parallel_equals_serial() {
+fn batch_size_does_not_change_output() {
     for seed in 0..12u64 {
         let mut rng = Rng(seed ^ 0xDDDD);
         let s = gen_scenario(seed + 300);
@@ -293,7 +293,6 @@ fn parallel_equals_serial() {
             .exchange(&inst, &s.target, &s.sigma)
             .unwrap();
         let engine = SedexEngine::with_config(SedexConfig {
-            threads: 3,
             batch_size: 16,
             ..SedexConfig::default()
         });

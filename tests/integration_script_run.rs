@@ -2,8 +2,7 @@
 //! resolves each statement's relation to its schema position, keeps a
 //! run's fresh labels in a scanned list and hashes each inserted tuple
 //! once; it must do exactly what the name-keyed version it replaced did.
-//! Every scenario is exchanged by the engine at 1 and at 8 threads, then
-//! its cached scripts are replayed tuple by tuple through both versions:
+//! Every scenario is exchanged by the engine, then its cached scripts are replayed tuple by tuple through both versions:
 //! the per-run outcome counters and fresh-label counters must agree at
 //! every step, and all four targets must agree row by row.
 
@@ -83,23 +82,13 @@ struct Replay {
     labels: u64,
 }
 
-/// Exchange `source` with the engine at 1 and 8 threads, then replay the
-/// cached scripts through both `run_script` versions and compare.
+/// Exchange `source` with the engine, then replay the cached scripts
+/// through both `run_script` versions and compare.
 fn check(what: &str, source: &Instance, target: &Schema, sigma: &Correspondences) -> Replay {
-    let mut engine_runs = Vec::new();
-    for threads in [1, 8] {
-        let cfg = SedexConfig {
-            threads,
-            // Small scenarios must reach the parallel path too.
-            parallel_threshold: 1,
-            ..SedexConfig::default()
-        };
-        let run = SedexEngine::with_config(cfg)
-            .exchange_with_repository(source, target, sigma)
-            .unwrap_or_else(|e| panic!("{what}: exchange at {threads} threads: {e}"));
-        engine_runs.push((threads, run));
-    }
-    let scripts: HashMap<String, Script> = engine_runs[0].1 .2.entries.iter().cloned().collect();
+    let (out, report, repo) = SedexEngine::new()
+        .exchange_with_repository(source, target, sigma)
+        .unwrap_or_else(|e| panic!("{what}: exchange: {e}"));
+    let scripts: HashMap<String, Script> = repo.entries.into_iter().collect();
 
     // The engine's order: relations by descending tree height, tuples
     // already reached through a referencing tuple skipped.
@@ -139,13 +128,11 @@ fn check(what: &str, source: &Instance, target: &Schema, sigma: &Correspondences
         &new_target,
         &old_target,
     );
-    for (threads, (out, report, _)) in &engine_runs {
-        let ctx = format!("{what}, replay vs engine at {threads} threads");
-        assert_same_rows(&ctx, &new_target, out);
-        assert_eq!(report.inserted, total.inserted, "{ctx}: inserted");
-        assert_eq!(report.merged, total.merged, "{ctx}: merged");
-        assert_eq!(report.violations, total.violations, "{ctx}: violations");
-    }
+    let ctx = format!("{what}, replay vs engine");
+    assert_same_rows(&ctx, &new_target, &out);
+    assert_eq!(report.inserted, total.inserted, "{ctx}: inserted");
+    assert_eq!(report.merged, total.merged, "{ctx}: merged");
+    assert_eq!(report.violations, total.violations, "{ctx}: violations");
     assert!(total.inserted > 0, "{what}: nothing inserted");
     Replay {
         outcome: total,
