@@ -11,10 +11,10 @@
 //! (b) has no script repository — every tuple is matched, translated and
 //! scripted from scratch.
 //!
-//! This driver reproduces exactly that cost model: same matching and
-//! translation machinery as SEDEX (hence identical output), preceded by
-//! per-tuple super-entity enumeration + subset pruning, with script reuse
-//! disabled.
+//! This engine reproduces exactly that cost model: it steps SEDEX's own
+//! pipeline (hence identical output) with script reuse off, so there is no
+//! repository, and precedes every step with super-entity enumeration +
+//! subset pruning.
 
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -22,14 +22,11 @@ use std::time::Instant;
 use sedex_mapping::Correspondences;
 use sedex_pqgram::PqLabel;
 use sedex_storage::{Instance, Schema, StorageError};
-use sedex_treerep::{tuple_tree, SchemaForest, TreeConfig, TupleTree};
+use sedex_treerep::{tuple_tree, TupleTree};
 
-use crate::marking::SeenSet;
-use crate::matcher::Matcher;
+use crate::engine::SedexConfig;
 use crate::metrics::ExchangeReport;
-use crate::script::{run_script, RunOutcome};
-use crate::scriptgen::generate_script;
-use crate::translate::{slot_values, translate};
+use crate::pipeline::Pipeline;
 
 /// The EDEX engine.
 #[derive(Debug, Clone)]
@@ -63,36 +60,29 @@ impl EdexEngine {
         target_schema: &Schema,
         sigma: &Correspondences,
     ) -> Result<(Instance, ExchangeReport), StorageError> {
-        let tree_cfg = TreeConfig {
+        let started = Instant::now();
+        // No repository: the pipeline matches, translates and scripts
+        // every tuple.
+        let config = SedexConfig {
+            p: self.p,
+            q: self.q,
             max_depth: self.max_depth,
-            prune_nulls: true,
+            reuse_scripts: false,
+            ..SedexConfig::default()
         };
-        let mut report = ExchangeReport::default();
-        let tg_start = Instant::now();
-        let source_forest = SchemaForest::new(source.schema(), &tree_cfg)?;
-        let target_forest = SchemaForest::new(target_schema, &tree_cfg)?;
-        let matcher = Matcher::new(&target_forest, self.p, self.q);
-        let order: Vec<String> = source_forest
-            .processing_order()
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
-        let mut seen = SeenSet::for_instance(source);
-        let mut target = Instance::new(target_schema.clone());
-        let mut outcome = RunOutcome::default();
-        let mut fresh_counter: u64 = 0;
-        report.tg = tg_start.elapsed();
+        let mut pipeline = Pipeline::new(config, source, target_schema.clone(), sigma.clone())?;
+        let order = pipeline.order(source)?;
+        let mut trace = pipeline.begin(None);
+        pipeline.report.tg += started.elapsed();
 
         for rel_name in &order {
             let rows = source.relation_or_err(rel_name)?.len() as u32;
             for row in 0..rows {
-                if seen.is_seen(rel_name, row) {
-                    report.tuples_skipped_seen += 1;
+                if pipeline.skip_seen(rel_name, row) {
                     continue;
                 }
                 let t0 = Instant::now();
-                let tx = tuple_tree(source, rel_name, row, &tree_cfg)?;
-                seen.mark_all(&tx.visited);
+                let tx = tuple_tree(source, rel_name, row, &pipeline.tree_cfg)?;
                 // EDEX's super-entity phase: enumerate candidate entities
                 // and prune subsumed ones. The surviving count is unused for
                 // the final answer (the full tree always wins) but the work
@@ -100,37 +90,10 @@ impl EdexEngine {
                 // charge EDEX for.
                 let survivors = super_entities(&tx);
                 debug_assert!(survivors >= 1);
-                // No repository: match, translate and script every tuple.
-                report.scripts_generated += 1;
-                let script = match matcher.best_match(&tx, sigma) {
-                    Some(m) => match target_forest.tree(&m.relation) {
-                        Some(tr) => {
-                            let ty = translate(&tx, tr, sigma);
-                            generate_script(&ty, target_schema)
-                        }
-                        None => Default::default(),
-                    },
-                    None => Default::default(),
-                };
-                if script.is_empty() {
-                    report.tuples_unmatched += 1;
-                }
-                report.tuples_processed += 1;
-                report.tg += t0.elapsed();
-
-                let t1 = Instant::now();
-                if !script.is_empty() {
-                    outcome +=
-                        run_script(&script, &slot_values(&tx), &mut target, &mut fresh_counter)?;
-                }
-                report.te += t1.elapsed();
+                pipeline.step(rel_name, row, &tx, t0, &mut trace)?;
             }
         }
-
-        report.inserted = outcome.inserted;
-        report.merged = outcome.merged;
-        report.violations = outcome.violations;
-        report.stats = target.stats();
+        let (target, report, _) = pipeline.finish();
         Ok((target, report))
     }
 }
@@ -177,6 +140,7 @@ mod tests {
     use super::*;
     use crate::engine::SedexEngine;
     use sedex_storage::{ConflictPolicy, RelationSchema, Value};
+    use sedex_treerep::TreeConfig;
 
     fn scenario() -> (Instance, Schema, Correspondences) {
         let student = RelationSchema::with_any_columns("Student", &["sname", "program", "dep"])

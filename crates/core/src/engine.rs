@@ -1,13 +1,20 @@
-//! The SEDEX engine: the pay-as-you-go pipeline of Fig. 1.
+//! The SEDEX engine: the pay-as-you-go pipeline of Fig. 1, run over a
+//! whole source instance.
 //!
 //! ```text
-//! load CFDs → order relations by tree height → per unseen tuple:
-//!   build tuple tree (mark referenced tuples seen)
-//!   shape key → script repository?
+//! load CFDs → order relations by tree height → per batch of unseen rows:
+//!   build the batch's tuple trees
+//!   per tree: mark seen → shape key → script repository?
 //!     hit  → reuse script
 //!     miss → Match → translate (Alg. 1) → generate script (Alg. 2) → store
 //!   run script under target egds
 //! ```
+//!
+//! An exchange applies the CFDs once, builds a fresh
+//! `crate::pipeline::Pipeline` and runs one pass of it over the source.
+//! The streaming [`crate::SedexSession`] drives the same pipeline one
+//! tuple (PUSH) or one pass (FLUSH) at a time, so both produce the same
+//! target from the same rows.
 //!
 //! Every knob the paper discusses (and every ablation DESIGN.md calls out)
 //! is a field of [`SedexConfig`].
@@ -20,19 +27,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sedex_mapping::Correspondences;
-use sedex_observe::{Event, Observer, Phase};
+use sedex_observe::Observer;
 use sedex_storage::{Instance, Schema, StorageError};
-use sedex_treerep::{repository_key, tuple_tree, SchemaForest, TreeConfig, TupleTree};
 
 use crate::cfd::CfdInterpreter;
-use crate::marking::SeenSet;
-use crate::matcher::Matcher;
 use crate::metrics::ExchangeReport;
+use crate::pipeline::Pipeline;
 use crate::repository::{RepositoryExport, ScriptRepository, DEFAULT_EVENT_LIMIT};
-use crate::script::{run_script, RunOutcome, Script};
-use crate::scriptgen::generate_script;
-use crate::trace::Trace;
-use crate::translate::{slot_values, translate};
 
 /// Configuration of a SEDEX exchange.
 #[derive(Debug, Clone)]
@@ -47,7 +48,7 @@ pub struct SedexConfig {
     pub window: Option<usize>,
     /// Reuse scripts via the shape-keyed repository (Section 4.4.2). Off =
     /// the `ablation_reuse` configuration: every tuple is re-matched and
-    /// re-translated.
+    /// re-translated, and no repository is kept.
     pub reuse_scripts: bool,
     /// Process relations in descending relation-tree height (Section 4.1).
     /// Off = schema order, which can fragment entities.
@@ -73,8 +74,9 @@ pub struct SedexConfig {
     pub batch_size: usize,
     /// Exchanges slower than this emit a one-line structured record (with
     /// per-phase breakdown) to stderr and an
-    /// [`Event::SlowExchange`] to the attached observer. `None` (default)
-    /// disables the check and the per-phase clock reads it needs.
+    /// [`Event::SlowExchange`](crate::Event::SlowExchange) to the attached
+    /// observer. `None` (default) disables the check and the per-phase
+    /// clock reads it needs.
     pub slow_exchange_threshold: Option<Duration>,
 }
 
@@ -140,8 +142,9 @@ impl SedexEngine {
 
     /// Attach a trace observer: every pipeline phase, repository lookup,
     /// egd merge and violation is reported to it as a structured
-    /// [`Event`]. Without an observer (the default) the tracing hooks
-    /// cost a `None` check — no clock reads, no allocation, no atomics.
+    /// [`Event`](crate::Event). Without an observer (the default) the
+    /// tracing hooks cost a `None` check — no clock reads, no allocation,
+    /// no atomics.
     pub fn with_observer(mut self, observer: Arc<dyn Observer>) -> Self {
         self.observer = Some(observer);
         self
@@ -182,23 +185,23 @@ impl SedexEngine {
         target_schema: &Schema,
         sigma: &Correspondences,
     ) -> Result<(Instance, ExchangeReport), StorageError> {
-        self.exchange_impl(source, target_schema, sigma, false)
+        self.exchange_impl(source, target_schema, sigma)
             .map(|(out, report, _)| (out, report))
     }
 
     /// Like [`SedexEngine::exchange`], but also returns the final script
     /// repository as an export — entries sorted by shape key plus the
-    /// lookup counters. Determinism tests compare the exports of runs at
-    /// different batch sizes; warm-start pipelines seed a
-    /// [`crate::SedexSession`] from it.
+    /// lookup counters (empty with `reuse_scripts` off). Determinism tests
+    /// compare the exports of runs at different batch sizes; warm-start
+    /// pipelines seed a [`crate::SedexSession`] from it.
     pub fn exchange_with_repository(
         &self,
         source: &Instance,
         target_schema: &Schema,
         sigma: &Correspondences,
     ) -> Result<(Instance, ExchangeReport, RepositoryExport), StorageError> {
-        self.exchange_impl(source, target_schema, sigma, true)
-            .map(|(out, report, export)| (out, report, export.expect("export requested")))
+        self.exchange_impl(source, target_schema, sigma)
+            .map(|(out, report, repo)| (out, report, repo.export()))
     }
 
     fn exchange_impl(
@@ -206,17 +209,8 @@ impl SedexEngine {
         source: &Instance,
         target_schema: &Schema,
         sigma: &Correspondences,
-        want_repository: bool,
-    ) -> Result<(Instance, ExchangeReport, Option<RepositoryExport>), StorageError> {
-        let cfg = &self.config;
-        let tree_cfg = TreeConfig {
-            max_depth: cfg.max_depth,
-            prune_nulls: cfg.prune_nulls,
-        };
-        let mut report = ExchangeReport::default();
-        let mut trace = Trace::new(self.observer.as_deref(), cfg.slow_exchange_threshold);
-        let tg_start = Instant::now();
-
+    ) -> Result<(Instance, ExchangeReport, ScriptRepository), StorageError> {
+        let started = Instant::now();
         // Fig. 1: load + apply CFDs before tuple trees are generated.
         let prepared;
         let src: &Instance = if self.cfds.is_empty() {
@@ -227,177 +221,16 @@ impl SedexEngine {
             prepared = clone;
             &prepared
         };
-
-        let source_forest = SchemaForest::new(src.schema(), &tree_cfg)?;
-        let target_forest = SchemaForest::new(target_schema, &tree_cfg)?;
-        let matcher = match cfg.window {
-            None => Matcher::new(&target_forest, cfg.p, cfg.q),
-            Some(w) => Matcher::windowed(&target_forest, cfg.p, cfg.q, w),
-        };
-
-        let order: Vec<String> = if cfg.order_by_height {
-            source_forest
-                .processing_order()
-                .into_iter()
-                .map(str::to_owned)
-                .collect()
-        } else {
-            src.schema().relation_names().map(str::to_owned).collect()
-        };
-
-        let mut repo =
-            ScriptRepository::with_event_limit(cfg.record_hit_events, cfg.hit_event_limit);
-        let mut seen = SeenSet::for_instance(src);
-        let mut target = Instance::new(target_schema.clone());
-        let mut outcome = RunOutcome::default();
-        let mut fresh_counter: u64 = 0;
-        report.tg = tg_start.elapsed();
-
-        for rel_name in &order {
-            let row_count = src.relation_or_err(rel_name)?.len() as u32;
-            let mut batch_start = 0u32;
-            while batch_start < row_count {
-                let batch_end = (batch_start + cfg.batch_size as u32).min(row_count);
-                let tg0 = Instant::now();
-                let tb = trace.start();
-                let (trees, skipped) =
-                    self.build_batch(src, rel_name, batch_start..batch_end, &seen, &tree_cfg)?;
-                trace.end(Phase::TreeBuild, tb);
-                report.tuples_skipped_seen += skipped;
-
-                let mut tg_batch = tg0.elapsed();
-                for (row, tx) in trees {
-                    // Re-check: a tuple earlier in this batch may have
-                    // marked this one.
-                    if cfg.mark_seen && seen.is_seen(rel_name, row) {
-                        report.tuples_skipped_seen += 1;
-                        continue;
-                    }
-                    let t0 = Instant::now();
-                    if cfg.mark_seen {
-                        seen.mark_all(&tx.visited);
-                    }
-                    let key = repository_key(&tx);
-                    let script = if cfg.reuse_scripts {
-                        repo.lookup(&key)
-                    } else {
-                        None
-                    };
-                    let script = match script {
-                        Some(s) => {
-                            report.scripts_reused += 1;
-                            trace.lookup(true);
-                            s
-                        }
-                        None => {
-                            report.scripts_generated += 1;
-                            trace.lookup(false);
-                            let generated = self.generate_for(
-                                &tx,
-                                &matcher,
-                                &target_forest,
-                                sigma,
-                                target_schema,
-                                &mut trace,
-                            );
-                            if generated.is_empty() {
-                                report.tuples_unmatched += 1;
-                            }
-                            repo.insert(key, generated)
-                        }
-                    };
-                    report.tuples_processed += 1;
-                    tg_batch += t0.elapsed();
-
-                    let t1 = Instant::now();
-                    if !script.is_empty() {
-                        let sr = trace.start();
-                        let delta = run_script(
-                            &script,
-                            &slot_values(&tx),
-                            &mut target,
-                            &mut fresh_counter,
-                        )?;
-                        trace.end(Phase::ScriptRun, sr);
-                        trace.outcome(&delta);
-                        outcome += delta;
-                    }
-                    report.te += t1.elapsed();
-                }
-                report.tg += tg_batch;
-                batch_start = batch_end;
-            }
-        }
-
-        report.inserted = outcome.inserted;
-        report.merged = outcome.merged;
-        report.violations = outcome.violations;
-        report.stats = target.stats();
-        report.hit_events = repo.take_events();
-        report.hit_events_dropped = repo.events_dropped() as usize;
-        if report.hit_events_dropped > 0 {
-            trace.emit(&Event::HitEventsDropped {
-                count: report.hit_events_dropped as u64,
-            });
-        }
-        report.phases = trace.totals;
-        trace.finish_exchange(
-            report.total_time(),
-            report.tuples_processed as u64,
-            cfg.slow_exchange_threshold,
-        );
-        let export = want_repository.then(|| repo.export());
-        Ok((target, report, export))
-    }
-
-    /// Build tuple trees for the unseen rows of one batch. Returns
-    /// `(row, tree)` pairs in ascending row order, plus the number of rows
-    /// skipped because they were already seen.
-    fn build_batch<'s>(
-        &self,
-        src: &'s Instance,
-        rel_name: &str,
-        rows: std::ops::Range<u32>,
-        seen: &SeenSet,
-        tree_cfg: &TreeConfig,
-    ) -> Result<(Vec<(u32, TupleTree<'s>)>, usize), StorageError> {
-        let total = rows.len();
-        let todo: Vec<u32> = rows
-            .filter(|&r| !(self.config.mark_seen && seen.is_seen(rel_name, r)))
-            .collect();
-        let skipped = total - todo.len();
-        todo.into_iter()
-            .map(|r| tuple_tree(src, rel_name, r, tree_cfg).map(|t| (r, t)))
-            .collect::<Result<Vec<_>, _>>()
-            .map(|v| (v, skipped))
-    }
-
-    /// The miss path: Match → translate → generate.
-    fn generate_for(
-        &self,
-        tx: &TupleTree<'_>,
-        matcher: &Matcher,
-        target_forest: &SchemaForest,
-        sigma: &Correspondences,
-        target_schema: &Schema,
-        trace: &mut Trace,
-    ) -> Script {
-        let m0 = trace.start();
-        let m = matcher.best_match(tx, sigma);
-        trace.end(Phase::Match, m0);
-        let Some(m) = m else {
-            return Script::default();
-        };
-        let Some(tr) = target_forest.tree(&m.relation) else {
-            return Script::default();
-        };
-        let t0 = trace.start();
-        let ty = translate(tx, tr, sigma);
-        trace.end(Phase::Translate, t0);
-        let g0 = trace.start();
-        let script = generate_script(&ty, target_schema);
-        trace.end(Phase::ScriptGen, g0);
-        script
+        let mut pipeline = Pipeline::new(
+            self.config.clone(),
+            src,
+            target_schema.clone(),
+            sigma.clone(),
+        )?;
+        let mut trace = pipeline.begin(self.observer.as_deref());
+        pipeline.pass(src, started, &mut trace)?;
+        pipeline.close(&trace);
+        Ok(pipeline.finish())
     }
 }
 

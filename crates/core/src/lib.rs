@@ -9,8 +9,10 @@
 //! tree shape and *reused* for every tuple with the same structure — the
 //! source of SEDEX's scalability (Figs. 12–15 of the paper).
 //!
-//! The pay-as-you-go pipeline (Fig. 1) is implemented by
-//! [`engine::SedexEngine`]:
+//! The pay-as-you-go pipeline (Fig. 1) is written once, in a crate-private
+//! pipeline module, and run two ways: [`engine::SedexEngine`] runs one
+//! pass of it over a whole source instance, and [`session::SedexSession`]
+//! runs one step per pushed tuple and one pass per flush. The steps:
 //!
 //! 1. load CFDs ([`cfd`]) and pre-process the source,
 //! 2. build source/target schema forests, order relations by descending
@@ -36,6 +38,7 @@ pub mod engine;
 pub mod marking;
 pub mod matcher;
 pub mod metrics;
+mod pipeline;
 pub mod quality;
 pub mod render;
 pub mod repository;

@@ -33,7 +33,10 @@ impl SeenSet {
     /// Grow a relation's bitmap to cover at least `rows` rows (used by the
     /// streaming session, where the source grows after construction).
     pub fn ensure_capacity(&mut self, relation: &str, rows: usize) {
-        let bits = self.map.entry(relation.to_owned()).or_default();
+        let bits = match self.map.get_mut(relation) {
+            Some(bits) => bits,
+            None => self.map.entry(relation.to_owned()).or_default(),
+        };
         if bits.len() < rows {
             bits.resize(rows, false);
         }

@@ -14,25 +14,26 @@
 //! (plus seen-marking state) persists across arrivals. Referenced tuples
 //! must be fed before (or together with) their referencing tuples — exactly
 //! the arrival order a CDC/ETL pipeline provides.
+//!
+//! It keeps one engine pipeline for its whole life: a PUSH steps it once,
+//! a FLUSH runs one pass of it, so a session fed the same rows and flushed
+//! once produces the engine's target byte for byte.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use sedex_mapping::Correspondences;
-use sedex_observe::{Event, Observer, Phase};
+use sedex_observe::{Observer, Phase};
 use sedex_storage::relation::RowId;
 use sedex_storage::{ConflictPolicy, Instance, InstanceSnapshot, Schema, StorageError, Tuple};
-use sedex_treerep::{repository_key, tuple_tree, SchemaForest, TreeConfig};
+use sedex_treerep::tuple_tree;
 
 use crate::cfd::CfdInterpreter;
 use crate::engine::SedexConfig;
-use crate::marking::SeenSet;
-use crate::matcher::Matcher;
 use crate::metrics::ExchangeReport;
-use crate::repository::{RepositoryExport, ScriptRepository};
-use crate::script::{run_script, RunOutcome, Script};
-use crate::scriptgen::generate_script;
-use crate::trace::Trace;
-use crate::translate::{slot_values, translate};
+use crate::pipeline::Pipeline;
+use crate::repository::RepositoryExport;
+use crate::script::{RunOutcome, Script};
 
 /// Everything mutable in a [`SedexSession`], detached from the engine
 /// machinery (matchers, forests, config), which is rebuilt from the scenario
@@ -95,23 +96,14 @@ impl SessionReadSnapshot {
 /// A long-lived exchange session: push source tuples as they arrive, read
 /// the target at any time.
 pub struct SedexSession {
-    config: SedexConfig,
     cfds: CfdInterpreter,
-    sigma: Correspondences,
-    tree_cfg: TreeConfig,
     source: Instance,
-    target: Instance,
-    target_forest: SchemaForest,
-    matcher: Matcher,
-    repo: ScriptRepository,
-    seen: SeenSet,
-    fresh_counter: u64,
-    report: ExchangeReport,
+    pipeline: Pipeline,
     observer: Option<Arc<dyn Observer>>,
     /// Session name attributed in slow-exchange records (multi-tenant
     /// service deployments); `None` for anonymous embedded use.
     label: Option<String>,
-    /// The protocol verb currently driving `process`, set by the service
+    /// The protocol verb currently driving the session, set by the service
     /// before each request so slow records can name it.
     verb: Option<&'static str>,
 }
@@ -124,50 +116,32 @@ impl SedexSession {
         target_schema: Schema,
         sigma: Correspondences,
     ) -> Result<Self, StorageError> {
-        let tree_cfg = TreeConfig {
-            max_depth: config.max_depth,
-            prune_nulls: config.prune_nulls,
-        };
-        let target_forest = SchemaForest::new(&target_schema, &tree_cfg)?;
-        let matcher = match config.window {
-            None => Matcher::new(&target_forest, config.p, config.q),
-            Some(w) => Matcher::windowed(&target_forest, config.p, config.q, w),
-        };
         let source = Instance::new(source_schema);
-        let seen = SeenSet::for_instance(&source);
-        let repo =
-            ScriptRepository::with_event_limit(config.record_hit_events, config.hit_event_limit);
+        let pipeline = Pipeline::new(config, &source, target_schema, sigma)?;
         Ok(SedexSession {
-            config,
             cfds: CfdInterpreter::new(),
-            sigma,
-            tree_cfg,
-            target: Instance::new(target_schema),
-            target_forest,
-            matcher,
-            repo,
-            seen,
-            fresh_counter: 0,
             source,
-            report: ExchangeReport::default(),
+            pipeline,
             observer: None,
             label: None,
             verb: None,
         })
     }
 
-    /// Attach CFDs; they are applied to each arriving tuple's relation
-    /// context at exchange time.
+    /// Attach CFDs; they are applied to the source before each PUSH builds
+    /// its tuple tree, and once before each FLUSH pass.
     pub fn with_cfds(mut self, cfds: CfdInterpreter) -> Self {
         self.cfds = cfds;
         self
     }
 
-    /// Attach a trace observer. Each processed tuple emits its pipeline
-    /// phases plus one `Exchange` event (tuple count 1); skipped-seen
-    /// tuples emit nothing. Without an observer and with no slow
-    /// threshold the tracing hooks cost a `None` check — no clock reads,
-    /// no allocation, no atomics.
+    /// Attach a trace observer. Each pushed tuple emits its pipeline
+    /// phases plus one `Exchange` event (tuple count 1); a skipped-seen
+    /// push emits nothing. A FLUSH pass emits its phases per batch and one
+    /// `Exchange` event for the whole pass (tuple count = tuples it
+    /// exchanged). Without an observer and with no slow threshold the
+    /// tracing hooks cost a `None` check — no clock reads, no allocation,
+    /// no atomics.
     pub fn with_observer(mut self, observer: Arc<dyn Observer>) -> Self {
         self.observer = Some(observer);
         self
@@ -195,7 +169,9 @@ impl SedexSession {
     pub fn feed(&mut self, relation: &str, tuple: Tuple) -> Result<RowId, StorageError> {
         let out = self.source.insert(relation, tuple, ConflictPolicy::Skip)?;
         let rows = self.source.relation_or_err(relation)?.len();
-        self.seen.ensure_capacity(relation, rows);
+        // Every source row arrives here, so the seen set covers every row
+        // a tuple tree can visit.
+        self.pipeline.seen.ensure_capacity(relation, rows);
         Ok(match out {
             sedex_storage::InsertOutcome::Inserted(id)
             | sedex_storage::InsertOutcome::Duplicate(id)
@@ -204,142 +180,58 @@ impl SedexSession {
         })
     }
 
-    /// Feed a tuple *and* exchange it immediately.
+    /// Feed a tuple *and* exchange it immediately (a PUSH), unless it is
+    /// already seen, as one traced exchange.
     pub fn exchange_tuple(
         &mut self,
         relation: &str,
         tuple: Tuple,
     ) -> Result<RunOutcome, StorageError> {
         let row = self.feed(relation, tuple)?;
-        self.process(relation, row)
-    }
-
-    /// Exchange every source tuple not yet seen, in descending
-    /// relation-tree-height order (the batch tail of a streaming run).
-    pub fn exchange_pending(&mut self) -> Result<RunOutcome, StorageError> {
-        let source_forest = SchemaForest::new(self.source.schema(), &self.tree_cfg)?;
-        let order: Vec<String> = source_forest
-            .processing_order()
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
-        let mut total = RunOutcome::default();
-        for rel in order {
-            let rows = self.source.relation_or_err(&rel)?.len() as RowId;
-            for row in 0..rows {
-                total += self.process(&rel, row)?;
-            }
-        }
-        Ok(total)
-    }
-
-    /// Process one source row (skipping already-seen rows).
-    fn process(&mut self, relation: &str, row: RowId) -> Result<RunOutcome, StorageError> {
-        if self.config.mark_seen && self.seen.is_seen(relation, row) {
-            self.report.tuples_skipped_seen += 1;
+        if self.pipeline.skip_seen(relation, row) {
             return Ok(RunOutcome::default());
         }
-        let mut trace = Trace::new(
-            self.observer.as_deref(),
-            self.config.slow_exchange_threshold,
-        )
-        .with_context(self.label.as_deref(), self.verb);
-        let t0 = std::time::Instant::now();
-        // Apply CFDs to the tuple in place before building its tree.
+        let mut trace = self
+            .pipeline
+            .begin(self.observer.as_deref())
+            .with_context(self.label.as_deref(), self.verb);
+        let started = Instant::now();
         if !self.cfds.is_empty() {
-            // CFDs are instance-level; applying per arrival keeps the
-            // semantics while bounding work to the touched relations.
+            // CFDs are instance-level: the whole source is brought up to
+            // date before the arriving tuple's tree is built.
             self.cfds.apply(&mut self.source)?;
         }
         let tb = trace.start();
-        let tx = tuple_tree(&self.source, relation, row, &self.tree_cfg)?;
+        let tx = tuple_tree(&self.source, relation, row, &self.pipeline.tree_cfg)?;
         trace.end(Phase::TreeBuild, tb);
-        if self.config.mark_seen {
-            for v in &tx.visited {
-                self.seen.ensure_capacity(v.relation, (v.row + 1) as usize);
-            }
-            self.seen.mark_all(&tx.visited);
-            self.seen.ensure_capacity(relation, (row + 1) as usize);
-            self.seen.mark(relation, row);
-        }
-        let key = repository_key(&tx);
-        let dropped_before = self.repo.events_dropped();
-        let script = if self.config.reuse_scripts {
-            self.repo.lookup(&key)
-        } else {
-            None
-        };
-        let dropped = self.repo.events_dropped() - dropped_before;
-        if dropped > 0 {
-            trace.emit(&Event::HitEventsDropped { count: dropped });
-        }
-        let script = match script {
-            Some(s) => {
-                self.report.scripts_reused += 1;
-                trace.lookup(true);
-                s
-            }
-            None => {
-                self.report.scripts_generated += 1;
-                trace.lookup(false);
-                let m0 = trace.start();
-                let best = self.matcher.best_match(&tx, &self.sigma);
-                trace.end(Phase::Match, m0);
-                let generated = match best {
-                    Some(m) => match self.target_forest.tree(&m.relation) {
-                        Some(tr) => {
-                            let tr0 = trace.start();
-                            let ty = translate(&tx, tr, &self.sigma);
-                            trace.end(Phase::Translate, tr0);
-                            let g0 = trace.start();
-                            let s = generate_script(&ty, self.target.schema());
-                            trace.end(Phase::ScriptGen, g0);
-                            s
-                        }
-                        None => Default::default(),
-                    },
-                    None => Default::default(),
-                };
-                if generated.is_empty() {
-                    self.report.tuples_unmatched += 1;
-                }
-                self.repo.insert(key, generated)
-            }
-        };
-        self.report.tuples_processed += 1;
-        let tg_tuple = t0.elapsed();
-        self.report.tg += tg_tuple;
+        let out = self
+            .pipeline
+            .step(relation, row, &tx, started, &mut trace)?;
+        self.pipeline.close(&trace);
+        Ok(out)
+    }
 
-        let t1 = std::time::Instant::now();
-        let mut out = RunOutcome::default();
-        if !script.is_empty() {
-            let sr = trace.start();
-            out = run_script(
-                &script,
-                &slot_values(&tx),
-                &mut self.target,
-                &mut self.fresh_counter,
-            )?;
-            trace.end(Phase::ScriptRun, sr);
-            trace.outcome(&out);
+    /// Exchange every source tuple not yet seen: CFDs are applied once,
+    /// then one pass of the pipeline runs over the source in the engine's
+    /// order (the batch tail of a streaming run). The pass is one traced
+    /// exchange.
+    pub fn exchange_pending(&mut self) -> Result<RunOutcome, StorageError> {
+        let started = Instant::now();
+        if !self.cfds.is_empty() {
+            self.cfds.apply(&mut self.source)?;
         }
-        let te_tuple = t1.elapsed();
-        self.report.te += te_tuple;
-        self.report.inserted += out.inserted;
-        self.report.merged += out.merged;
-        self.report.violations += out.violations;
-        trace.finish_exchange(tg_tuple + te_tuple, 1, self.config.slow_exchange_threshold);
-        for (phase, nanos) in trace.totals.iter() {
-            if nanos > 0 {
-                self.report.phases.add(phase, nanos);
-            }
-        }
+        let mut trace = self
+            .pipeline
+            .begin(self.observer.as_deref())
+            .with_context(self.label.as_deref(), self.verb);
+        let out = self.pipeline.pass(&self.source, started, &mut trace)?;
+        self.pipeline.close(&trace);
         Ok(out)
     }
 
     /// The live target instance.
     pub fn target(&self) -> &Instance {
-        &self.target
+        &self.pipeline.target
     }
 
     /// The source accumulated so far.
@@ -349,22 +241,19 @@ impl SedexSession {
 
     /// The session's running report (stats refreshed on read).
     pub fn report(&mut self) -> &ExchangeReport {
-        self.report.stats = self.target.stats();
-        self.report.hit_events.clear();
-        self.report.hit_events.extend_from_slice(self.repo.events());
-        self.report.hit_events_dropped = self.repo.events_dropped() as usize;
-        &self.report
+        self.pipeline.report()
     }
 
     /// `(scripts generated, scripts reused)` so far — the counters a push
     /// reply prints, read without walking the target.
     pub fn script_counts(&self) -> (usize, usize) {
-        (self.report.scripts_generated, self.report.scripts_reused)
+        let r = &self.pipeline.report;
+        (r.scripts_generated, r.scripts_reused)
     }
 
     /// Distinct scripts cached so far — "the only space required".
     pub fn scripts_cached(&self) -> usize {
-        self.repo.len()
+        self.pipeline.repo.len()
     }
 
     /// A cheap point-in-time copy of the running report, usable through a
@@ -373,16 +262,8 @@ impl SedexSession {
     /// NOT copied — it can be large, and concurrent callers (the service's
     /// `STATS` command) only need the counters.
     pub fn report_snapshot(&self) -> ExchangeReport {
-        let mut r = self.counters();
-        r.stats = self.target.stats();
-        r
-    }
-
-    /// The running counters without the hit-event log, with the current
-    /// drop count: what every snapshot of the report carries.
-    fn counters(&self) -> ExchangeReport {
-        let mut r = self.report.without_hit_events();
-        r.hit_events_dropped = self.repo.events_dropped() as usize;
+        let mut r = self.pipeline.counters();
+        r.stats = self.pipeline.target.stats();
         r
     }
 
@@ -395,10 +276,10 @@ impl SedexSession {
     pub fn read_snapshot(&self) -> SessionReadSnapshot {
         SessionReadSnapshot {
             source: self.source.snapshot(),
-            target: self.target.snapshot(),
-            report: self.counters(),
-            scripts_cached: self.repo.len(),
-            hit_ratio: self.repo.hit_ratio(),
+            target: self.pipeline.target.snapshot(),
+            report: self.pipeline.counters(),
+            scripts_cached: self.pipeline.repo.len(),
+            hit_ratio: self.pipeline.repo.hit_ratio(),
         }
     }
 
@@ -406,61 +287,40 @@ impl SedexSession {
     /// [`SessionState`]). The per-lookup hit-event log is not exported — it
     /// is unbounded and only feeds the Fig. 14 experiment.
     pub fn export_state(&self) -> SessionState {
-        let mut report = self.report.without_hit_events();
-        report.stats = self.target.stats();
-        SessionState {
-            source: self.source.clone(),
-            target: self.target.clone(),
-            repository: self.repo.export(),
-            seen: self.seen.export(),
-            fresh_counter: self.fresh_counter,
-            report,
-        }
+        self.pipeline.export(self.source.clone())
     }
 
     /// Replace this session's mutable state with an exported one. The
     /// session must have been constructed from the same scenario (schemas,
-    /// correspondences, CFDs) as the exporter; engine machinery derived from
-    /// those is kept as-is.
+    /// correspondences, CFDs) as the exporter; the compiled mapping derived
+    /// from those is kept as-is.
     pub fn restore_state(&mut self, state: SessionState) {
-        self.source = state.source;
-        self.target = state.target;
-        let mut repo = ScriptRepository::with_event_limit(
-            self.config.record_hit_events,
-            self.config.hit_event_limit,
-        );
-        repo.import(state.repository);
-        self.repo = repo;
-        self.seen = SeenSet::import(state.seen);
-        self.fresh_counter = state.fresh_counter;
-        self.report = state.report;
+        self.source = self.pipeline.restore(state);
     }
 
     /// Drain scripts generated since the last drain (see
-    /// [`ScriptRepository::take_new_scripts`]) — the service persists each
-    /// as one WAL record.
+    /// [`crate::ScriptRepository::take_new_scripts`]) — the service
+    /// persists each as one WAL record.
     pub fn take_new_scripts(&mut self) -> Vec<(String, Arc<Script>)> {
-        self.repo.take_new_scripts()
+        self.pipeline.repo.take_new_scripts()
     }
 
     /// Install one script under its shape key without touching lookup
     /// counters — the WAL-replay path for persisted `ScriptAdd` records.
     pub fn install_script(&mut self, key: String, script: Script) {
-        self.repo.install(key, script);
+        self.pipeline.repo.install(key, script);
     }
 
     /// The current repository hit ratio `n_r / (n_r + n_g)` — survives a
     /// snapshot/restore cycle (warm start).
     pub fn repository_hit_ratio(&self) -> f64 {
-        self.repo.hit_ratio()
+        self.pipeline.repo.hit_ratio()
     }
 
     /// Close the session, returning the target and the final report.
-    pub fn finish(mut self) -> (Instance, ExchangeReport) {
-        self.report.stats = self.target.stats();
-        self.report.hit_events = self.repo.take_events();
-        self.report.hit_events_dropped = self.repo.events_dropped() as usize;
-        (self.target, self.report)
+    pub fn finish(self) -> (Instance, ExchangeReport) {
+        let (target, report, _) = self.pipeline.finish();
+        (target, report)
     }
 }
 
@@ -595,6 +455,58 @@ mod tests {
         assert_eq!(session.target().relation("Stu").unwrap().len(), 1);
         let report = session.report();
         assert!(report.tuples_skipped_seen >= 1);
+    }
+
+    /// FLUSH runs the engine's pass, in the engine's order: with
+    /// `order_by_height` off both take relations in schema order, so the
+    /// fed `Dep` row is exchanged on its own before the students that
+    /// reference it, instead of being reached (and skipped) through them.
+    #[test]
+    fn exchange_pending_follows_the_configured_order() {
+        let (src_schema, tgt_schema, sigma) = schemas();
+        let config = SedexConfig {
+            order_by_height: false,
+            ..SedexConfig::default()
+        };
+        let rows = [
+            ("Dep", sedex_storage::tuple!["d1", "b1"]),
+            ("Student", sedex_storage::tuple!["s1", "p1", "d1"]),
+            ("Student", sedex_storage::tuple!["s2", "p2", "d1"]),
+        ];
+        let mut source = Instance::new(src_schema.clone());
+        let mut session = SedexSession::new(
+            config.clone(),
+            src_schema,
+            tgt_schema.clone(),
+            sigma.clone(),
+        )
+        .unwrap();
+        for (rel, t) in rows {
+            source
+                .insert(rel, t.clone(), ConflictPolicy::Reject)
+                .unwrap();
+            session.feed(rel, t).unwrap();
+        }
+        session.exchange_pending().unwrap();
+        let (want, want_report) = crate::engine::SedexEngine::with_config(config)
+            .exchange(&source, &tgt_schema, &sigma)
+            .unwrap();
+        let (got, got_report) = session.finish();
+        let counts = |r: &ExchangeReport| {
+            (
+                r.tuples_processed,
+                r.tuples_skipped_seen,
+                r.scripts_generated,
+                r.scripts_reused,
+                r.inserted,
+                r.merged,
+            )
+        };
+        assert_eq!(counts(&got_report), counts(&want_report));
+        assert_eq!(got_report.tuples_skipped_seen, 0);
+        for (name, rel) in want.relations() {
+            assert_eq!(rel.rows(), got.relation(name).unwrap().rows(), "{name}");
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Per-exchange tracing state shared by the batch engine and the
-//! streaming session.
+//! Tracing state for one unit of pipeline work: an engine exchange, a
+//! pushed tuple or a FLUSH pass.
 //!
-//! [`Trace`] bundles the optional observer with the running per-phase
-//! breakdown. Timing is enabled only when an observer is attached or a
-//! slow-exchange threshold is set; otherwise every method is a branch on
+//! [`Trace`] bundles the optional observer and slow threshold with the
+//! unit's per-phase breakdown. Timing is enabled only when an observer is
+//! attached or a threshold is set; otherwise every method is a branch on
 //! a `None`/`false` — no clock reads, no allocation, no atomic writes on
 //! the hot path (the acceptance criterion of the observability issue).
 
@@ -13,9 +13,10 @@ use sedex_observe::{slow_exchange_record, Event, Observer, Phase, PhaseTotals};
 
 use crate::script::RunOutcome;
 
-/// Tracing state for one exchange (or one streamed tuple).
+/// Tracing state for one unit of work.
 pub(crate) struct Trace<'a> {
     obs: Option<&'a dyn Observer>,
+    slow: Option<Duration>,
     timing: bool,
     /// Session label and verb attributed in slow-exchange records, when the
     /// caller (the service) knows them.
@@ -30,6 +31,7 @@ impl<'a> Trace<'a> {
     pub fn new(obs: Option<&'a dyn Observer>, slow: Option<Duration>) -> Self {
         Trace {
             obs,
+            slow,
             timing: obs.is_some() || slow.is_some(),
             session: None,
             verb: None,
@@ -107,13 +109,13 @@ impl<'a> Trace<'a> {
     /// Close out an exchange: emit [`Event::Exchange`], and — when the
     /// total exceeded the slow threshold — a [`Event::SlowExchange`] plus
     /// the one-line structured record on stderr.
-    pub fn finish_exchange(&self, total: Duration, tuples: u64, slow: Option<Duration>) {
+    pub fn finish_exchange(&self, total: Duration, tuples: u64) {
         self.emit(&Event::Exchange {
             nanos: total.as_nanos() as u64,
             tuples,
             count: 1,
         });
-        if let Some(threshold) = slow {
+        if let Some(threshold) = self.slow {
             if total > threshold {
                 self.emit(&Event::SlowExchange {
                     nanos: total.as_nanos() as u64,
@@ -162,7 +164,7 @@ mod tests {
             duplicates: 0,
             violations: 1,
         });
-        t.finish_exchange(Duration::from_secs(100), 1, None);
+        t.finish_exchange(Duration::from_secs(100), 1);
         assert!(t.totals.is_zero());
     }
 
@@ -188,7 +190,7 @@ mod tests {
             duplicates: 0,
             violations: 0,
         });
-        t.finish_exchange(Duration::from_micros(5), 1, None);
+        t.finish_exchange(Duration::from_micros(5), 1);
         // Phase + lookup + inserted + merged + exchange = 5 events.
         assert_eq!(obs.0.load(Ordering::Relaxed), 5);
     }

@@ -44,10 +44,10 @@ use sedex_observe::{
 };
 use sedex_scenarios::textfmt;
 use sedex_storage::codec::{ByteReader, ByteWriter};
-use sedex_storage::{Instance, InstanceSnapshot, RelationSchema, Rows, Tuple};
+use sedex_storage::{Instance, InstanceSnapshot, RelationSchema, Rows, StorageError, Tuple};
 
 use crate::client::{Client, ClientConfig};
-use crate::manager::SessionManager;
+use crate::manager::{SessionManager, Tenant};
 use crate::protocol::{Proto, Request, Response};
 use crate::reactor::reactor_loop;
 
@@ -989,37 +989,12 @@ fn execute(shared: &Shared, request: &Request, proto: Proto) -> Response {
             // window) for the whole batch. Rows apply in order; the first
             // failing row aborts the rest — rows before it stay applied
             // and logged, exactly as if pushed one by one.
-            let durable = shared.durability.is_some();
             let total = rows.len();
             let resp = run_on_session(shared, session, "PUSH_BATCH", |t| {
                 for (i, (rel, tuple)) in rows.iter().enumerate() {
                     shared.stats.tuples_in.inc();
-                    t.session
-                        .exchange_tuple(rel, tuple.clone())
+                    push_row(shared, session, t, rel, tuple.clone())
                         .map_err(|e| format!("batch row {} of {total}: {e}", i + 1))?;
-                    t.tuples_in += 1;
-                    wal_append(
-                        shared,
-                        session,
-                        WalRecord::Push {
-                            session: session.clone(),
-                            relation: rel.clone(),
-                            tuple: tuple.clone(),
-                        },
-                    );
-                    if durable {
-                        for (key, script) in t.session.take_new_scripts() {
-                            wal_append(
-                                shared,
-                                session,
-                                WalRecord::ScriptAdd {
-                                    session: session.clone(),
-                                    key,
-                                    script: (*script).clone(),
-                                },
-                            );
-                        }
-                    }
                 }
                 Ok(Response::ok(format!(
                     "pushed batch of {total} | {}",
@@ -1035,19 +1010,7 @@ fn execute(shared: &Shared, request: &Request, proto: Proto) -> Response {
             let durable = shared.durability.is_some();
             let resp = run_on_session(shared, session, "FLUSH", |t| {
                 t.session.exchange_pending().map_err(|e| e.to_string())?;
-                if durable {
-                    for (key, script) in t.session.take_new_scripts() {
-                        wal_append(
-                            shared,
-                            session,
-                            WalRecord::ScriptAdd {
-                                session: session.clone(),
-                                key,
-                                script: (*script).clone(),
-                            },
-                        );
-                    }
-                }
+                log_new_scripts(shared, session, t);
                 wal_append(
                     shared,
                     session,
@@ -1853,40 +1816,10 @@ fn cluster_startup_join(shared: &Arc<Shared>) {
     }
 }
 
-/// The shared tail of `PUSH` (text) and the binary tuple/batch pushes:
-/// exchange one already-parsed tuple on the session, WAL-logging the push
-/// and any new scripts while the tenant lock is held.
+/// The shared tail of `PUSH` (text) and the binary tuple push.
 fn push_parsed(shared: &Shared, session: &str, rel: &str, tuple: Tuple) -> Response {
-    let durable = shared.durability.is_some();
     let resp = run_on_session(shared, session, "PUSH", |t| {
-        t.session
-            .exchange_tuple(rel, tuple.clone())
-            .map_err(|e| e.to_string())?;
-        t.tuples_in += 1;
-        // Log while the tenant lock is still held (durable mutex
-        // innermost): this session's records land in application order.
-        wal_append(
-            shared,
-            session,
-            WalRecord::Push {
-                session: session.to_owned(),
-                relation: rel.to_owned(),
-                tuple,
-            },
-        );
-        if durable {
-            for (key, script) in t.session.take_new_scripts() {
-                wal_append(
-                    shared,
-                    session,
-                    WalRecord::ScriptAdd {
-                        session: session.to_owned(),
-                        key,
-                        script: (*script).clone(),
-                    },
-                );
-            }
-        }
+        push_row(shared, session, t, rel, tuple).map_err(|e| e.to_string())?;
         Ok(Response::ok(format!(
             "pushed {rel} | {}",
             push_summary(&t.session)
@@ -1896,6 +1829,50 @@ fn push_parsed(shared: &Shared, session: &str, rel: &str, tuple: Tuple) -> Respo
         maybe_checkpoint(shared, session);
     }
     resp
+}
+
+/// Exchange one already-parsed tuple on a locked tenant, WAL-logging the
+/// push and any new scripts while the tenant lock is still held (durable
+/// mutex innermost): this session's records land in application order.
+fn push_row(
+    shared: &Shared,
+    session: &str,
+    t: &mut Tenant,
+    rel: &str,
+    tuple: Tuple,
+) -> Result<(), StorageError> {
+    t.session.exchange_tuple(rel, tuple.clone())?;
+    t.tuples_in += 1;
+    wal_append(
+        shared,
+        session,
+        WalRecord::Push {
+            session: session.to_owned(),
+            relation: rel.to_owned(),
+            tuple,
+        },
+    );
+    log_new_scripts(shared, session, t);
+    Ok(())
+}
+
+/// One `ScriptAdd` WAL record per script the session generated since the
+/// last drain. Without durability nothing is logged or drained.
+fn log_new_scripts(shared: &Shared, session: &str, t: &mut Tenant) {
+    if shared.durability.is_none() {
+        return;
+    }
+    for (key, script) in t.session.take_new_scripts() {
+        wal_append(
+            shared,
+            session,
+            WalRecord::ScriptAdd {
+                session: session.to_owned(),
+                key,
+                script: (*script).clone(),
+            },
+        );
+    }
 }
 
 /// The `scripts … | target N tuples` part of a push reply, read from the
@@ -1937,7 +1914,7 @@ fn run_on_session(
     shared: &Shared,
     name: &str,
     verb: &'static str,
-    f: impl FnOnce(&mut crate::manager::Tenant) -> Result<Response, String>,
+    f: impl FnOnce(&mut Tenant) -> Result<Response, String>,
 ) -> Response {
     let faults = shared.faults.clone();
     match shared.manager.with_tenant(name, move |t| {
