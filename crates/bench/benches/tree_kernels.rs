@@ -1,5 +1,7 @@
 //! Criterion microbenches for tree construction: relation trees, tuple
-//! trees, reduction and shape keys — the per-tuple cost of the engine.
+//! trees, reduction and shape keys, and the tree-free shape walk that
+//! replaced the tuple tree on a repository hit — the per-tuple cost of the
+//! engine.
 
 use sedex_bench::harness::{black_box, criterion_group, criterion_main, Criterion};
 use sedex_core::translate::slot_values;
@@ -7,7 +9,7 @@ use sedex_scenarios::compose::abcd_scenarios;
 use sedex_scenarios::university;
 use sedex_treerep::{
     post_order_key, reduce_to_relation_tree, relation_tree, repository_key, tuple_tree,
-    SchemaForest, TreeConfig,
+    SchemaForest, ShapeCatalog, Shapes, TreeConfig,
 };
 
 fn bench_relation_tree(c: &mut Criterion) {
@@ -45,10 +47,11 @@ fn bench_reduce_and_key(c: &mut Criterion) {
     });
 }
 
-/// What a script-repository hit pays before the script runs: tuple-tree
-/// build, repository key, slot values, and dropping the tree. One
-/// iteration walks 1 001 rows of Fig 12 scenario `d` (143 per relation),
-/// relations in the engine's processing order.
+/// What a script-repository hit paid before the script ran, with a tree
+/// (tuple-tree build, repository key, slot values, dropping the tree), and
+/// what it pays now (a shape walk into reused buffers). One iteration
+/// walks 1 001 rows of Fig 12 scenario `d` (143 per relation), relations
+/// in the engine's processing order.
 fn bench_hit_path(c: &mut Criterion) {
     let sc = abcd_scenarios().swap_remove(3);
     let inst = sc.populate(143, 3).unwrap();
@@ -65,6 +68,23 @@ fn bench_hit_path(c: &mut Criterion) {
                 let tt = tuple_tree(black_box(&inst), rel, row, &cfg).unwrap();
                 black_box((repository_key(&tt), slot_values(&tt)));
             }
+        })
+    });
+    let catalog = ShapeCatalog::new(inst.schema());
+    let rows: Vec<(usize, u32)> = rows
+        .iter()
+        .map(|&(rel, row)| (inst.schema().relation_index(rel).unwrap(), row))
+        .collect();
+    let mut shapes = Shapes::default();
+    c.bench_function("shape_walk_hit_path_d", |b| {
+        b.iter(|| {
+            shapes.clear();
+            for &(rel, row) in &rows {
+                catalog
+                    .walk(black_box(&inst), rel, row, &cfg, &mut shapes)
+                    .unwrap();
+            }
+            black_box(shapes.len())
         })
     });
 }

@@ -22,7 +22,7 @@ use std::time::Instant;
 use sedex_mapping::Correspondences;
 use sedex_pqgram::PqLabel;
 use sedex_storage::{Instance, Schema, StorageError};
-use sedex_treerep::{tuple_tree, TupleTree};
+use sedex_treerep::{Shapes, TupleTree};
 
 use crate::engine::SedexConfig;
 use crate::metrics::ExchangeReport;
@@ -71,18 +71,21 @@ impl EdexEngine {
             ..SedexConfig::default()
         };
         let mut pipeline = Pipeline::new(config, source, target_schema.clone(), sigma.clone())?;
-        let order = pipeline.order(source)?;
+        let order = pipeline.order(source)?.to_vec();
         let mut trace = pipeline.begin(None);
         pipeline.report.tg += started.elapsed();
+        let mut shapes = Shapes::default();
 
-        for rel_name in &order {
-            let rows = source.relation_or_err(rel_name)?.len() as u32;
+        for rel in order {
+            let rows = source.relation_at(rel).len() as u32;
             for row in 0..rows {
-                if pipeline.skip_seen(rel_name, row) {
+                if pipeline.skip_seen(rel, row) {
                     continue;
                 }
-                let t0 = Instant::now();
-                let tx = tuple_tree(source, rel_name, row, &pipeline.tree_cfg)?;
+                let mut clock = Instant::now();
+                shapes.clear();
+                pipeline.walk(source, rel, row, &mut shapes)?;
+                let tx = pipeline.tuple_tree(source, rel, row)?;
                 // EDEX's super-entity phase: enumerate candidate entities
                 // and prune subsumed ones. The surviving count is unused for
                 // the final answer (the full tree always wins) but the work
@@ -90,7 +93,7 @@ impl EdexEngine {
                 // charge EDEX for.
                 let survivors = super_entities(&tx);
                 debug_assert!(survivors >= 1);
-                pipeline.step(rel_name, row, &tx, t0, &mut trace)?;
+                pipeline.step(source, &shapes.get(0), Some(&tx), &mut clock, &mut trace)?;
             }
         }
         let (target, report, _) = pipeline.finish();
@@ -140,7 +143,7 @@ mod tests {
     use super::*;
     use crate::engine::SedexEngine;
     use sedex_storage::{ConflictPolicy, RelationSchema, Value};
-    use sedex_treerep::TreeConfig;
+    use sedex_treerep::{tuple_tree, TreeConfig};
 
     fn scenario() -> (Instance, Schema, Correspondences) {
         let student = RelationSchema::with_any_columns("Student", &["sname", "program", "dep"])

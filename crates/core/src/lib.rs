@@ -56,7 +56,7 @@ pub use metrics::{ExchangeReport, HitEvent};
 pub use quality::{compare, QualityReport};
 pub use render::{sql_statements, sql_template, xml_document, ReportVerbose};
 pub use repository::{RepositoryExport, ScriptRepository};
-pub use script::{run_script, Script, SlotRef, Statement};
+pub use script::{run_script, ResolvedScript, Script, SlotRef, Statement};
 pub use session::{SedexSession, SessionReadSnapshot, SessionState};
 pub use translate::{translate, TranslatedNode, TranslatedTree};
 

@@ -6,7 +6,16 @@
 //! one [`Pipeline::pass`] over a whole source; a session keeps one pipeline
 //! and runs a [`Pipeline::step`] per PUSH and a pass per FLUSH; EDEX steps
 //! every tuple with script reuse off.
+//!
+//! A tuple reaches `step` as a shape walk ([`Shapes`]), not a tree: its
+//! shape ids key the repository, its slot values feed the script run and
+//! its visited rows are marked seen by schema position. Only a miss builds
+//! the tuple tree, which `Match` and translation need. What the walk and
+//! the pass read from the source schema — the shape catalog and the
+//! processing order — is compiled at first use, not in `new`, which every
+//! session OPEN pays.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -14,23 +23,23 @@ use sedex_mapping::Correspondences;
 use sedex_observe::{Event, Observer, Phase};
 use sedex_storage::relation::RowId;
 use sedex_storage::{Instance, Schema, StorageError};
-use sedex_treerep::{repository_key, tuple_tree, SchemaForest, TreeConfig, TupleTree};
+use sedex_treerep::{SchemaForest, Shape, ShapeCatalog, Shapes, TreeConfig, TupleTree};
 
 use crate::engine::SedexConfig;
 use crate::marking::SeenSet;
 use crate::matcher::Matcher;
 use crate::metrics::ExchangeReport;
 use crate::repository::ScriptRepository;
-use crate::script::{run_script, RunOutcome, Script};
+use crate::script::{ResolvedScript, RunOutcome, Script};
 use crate::scriptgen::generate_script;
 use crate::session::SessionState;
 use crate::trace::Trace;
-use crate::translate::{slot_values, translate};
+use crate::translate::translate;
 
 /// The compiled mapping plus the state an exchange accumulates.
 pub(crate) struct Pipeline {
     config: SedexConfig,
-    pub(crate) tree_cfg: TreeConfig,
+    tree_cfg: TreeConfig,
     sigma: Correspondences,
     target_forest: SchemaForest,
     matcher: Matcher,
@@ -39,6 +48,11 @@ pub(crate) struct Pipeline {
     pub(crate) target: Instance,
     fresh_counter: u64,
     pub(crate) report: ExchangeReport,
+    /// The source schema's shape catalog, compiled at the first walk.
+    catalog: Option<ShapeCatalog>,
+    /// Source relations (schema positions) in processing order, computed
+    /// at the first pass.
+    order: Option<Vec<usize>>,
     /// Report time, tuples processed and hit events dropped where the
     /// current unit of work began.
     unit: (Duration, usize, u64),
@@ -62,12 +76,15 @@ impl Pipeline {
             None => Matcher::new(&target_forest, config.p, config.q),
             Some(w) => Matcher::windowed(&target_forest, config.p, config.q, w),
         };
+        let target = Instance::new(target_schema);
         Ok(Pipeline {
-            repo: repository(&config),
+            repo: repository(&config, &target),
             seen: SeenSet::for_instance(source),
-            target: Instance::new(target_schema),
+            target,
             fresh_counter: 0,
             report: ExchangeReport::default(),
+            catalog: None,
+            order: None,
             unit: Default::default(),
             config,
             tree_cfg,
@@ -96,97 +113,149 @@ impl Pipeline {
     /// compiled mapping; returns the exported source.
     pub(crate) fn restore(&mut self, state: SessionState) -> Instance {
         self.target = state.target;
-        self.repo = repository(&self.config);
+        self.repo = repository(&self.config, &self.target);
         self.repo.import(state.repository);
-        self.seen = SeenSet::import(state.seen);
+        self.seen = SeenSet::import_for(state.source.schema(), state.seen);
         self.fresh_counter = state.fresh_counter;
         self.report = state.report;
+        self.catalog = None;
+        self.order = None;
         state.source
     }
 
-    /// Relations in processing order: descending relation-tree height
-    /// (§4.1), or schema order with `order_by_height` off.
-    pub(crate) fn order(&self, src: &Instance) -> Result<Vec<String>, StorageError> {
-        Ok(if self.config.order_by_height {
-            SchemaForest::new(src.schema(), &self.tree_cfg)?
-                .processing_order()
-                .into_iter()
-                .map(str::to_owned)
-                .collect()
-        } else {
-            src.schema().relation_names().map(str::to_owned).collect()
-        })
+    /// Relations (schema positions) in processing order: descending
+    /// relation-tree height (§4.1), or schema order with `order_by_height`
+    /// off. Computed once, at the first call.
+    pub(crate) fn order(&mut self, src: &Instance) -> Result<&[usize], StorageError> {
+        if self.order.is_none() {
+            let schema = src.schema();
+            self.order = Some(if self.config.order_by_height {
+                SchemaForest::new(schema, &self.tree_cfg)?
+                    .processing_order()
+                    .into_iter()
+                    .map(|name| schema.relation_index_or_err(name))
+                    .collect::<Result<_, _>>()?
+            } else {
+                (0..schema.len()).collect()
+            });
+        }
+        Ok(self.order.as_deref().unwrap_or_default())
     }
 
     /// Whether a row was already reached through a referencing tuple
-    /// (§4.2); a seen row is counted as skipped.
-    pub(crate) fn skip_seen(&mut self, relation: &str, row: RowId) -> bool {
-        let seen = self.config.mark_seen && self.seen.is_seen(relation, row);
+    /// (§4.2); a seen row is counted as skipped. `rel` is a schema
+    /// position.
+    pub(crate) fn skip_seen(&mut self, rel: usize, row: RowId) -> bool {
+        let seen = self.config.mark_seen && self.seen.is_seen_at(rel, row);
         if seen {
             self.report.tuples_skipped_seen += 1;
         }
         seen
     }
 
-    /// Exchange one source row through its built tuple tree. The time from
-    /// `started` — when the caller began on this row — to the script run is
-    /// charged to Tg, the run to Te.
-    pub(crate) fn step(
+    /// Walk row `row` of relation `rel` (a schema position) of `src` into
+    /// `out`.
+    pub(crate) fn walk<'a>(
         &mut self,
-        relation: &str,
+        src: &'a Instance,
+        rel: usize,
         row: RowId,
-        tx: &TupleTree<'_>,
-        started: Instant,
+        out: &mut Shapes<'a>,
+    ) -> Result<(), StorageError> {
+        catalog(&mut self.catalog, src).walk(src, rel, row, &self.tree_cfg, out)
+    }
+
+    /// The tuple tree of row `row` of relation `rel` of `src` — the tree of
+    /// the walk [`Pipeline::walk`] makes.
+    pub(crate) fn tuple_tree<'a>(
+        &mut self,
+        src: &'a Instance,
+        rel: usize,
+        row: RowId,
+    ) -> Result<TupleTree<'a>, StorageError> {
+        catalog(&mut self.catalog, src).tuple_tree(src, rel, row, &self.tree_cfg)
+    }
+
+    /// Exchange one walked source row. `tree` is its tuple tree when the
+    /// caller has it; a miss builds it otherwise. `clock` holds when the
+    /// caller began on this row: the time from there to the script run is
+    /// charged to Tg, the run to Te, and `clock` is left at the run's end —
+    /// where the caller's next row begins.
+    pub(crate) fn step<'a>(
+        &mut self,
+        src: &'a Instance,
+        shape: &Shape<'_, 'a>,
+        tree: Option<&TupleTree<'a>>,
+        clock: &mut Instant,
         trace: &mut Trace,
     ) -> Result<RunOutcome, StorageError> {
         if self.config.mark_seen {
             // One probe re-checks and marks the row, since a tuple stepped
             // after its check may have marked it. Every row has a bit: the
             // engine sizes the set for its source and `feed` grows it.
-            if !self.seen.mark(relation, row) {
+            if !self.seen.mark_at(shape.relation, shape.row) {
                 self.report.tuples_skipped_seen += 1;
                 return Ok(RunOutcome::default());
             }
-            self.seen.mark_all(&tx.visited);
+            self.seen.mark_all_at(shape.visited);
         }
         let script = if self.config.reuse_scripts {
-            let key = repository_key(tx);
-            match self.repo.lookup(&key) {
-                Some(s) => {
+            let catalog = catalog(&mut self.catalog, src);
+            match self.repo.lookup_shape(shape.ids, || {
+                catalog.repository_key(src.schema(), shape.ids)
+            }) {
+                Ok(s) => {
                     self.report.scripts_reused += 1;
                     trace.lookup(true);
                     s
                 }
-                None => {
-                    let generated = self.generate(tx, trace);
-                    self.repo.insert(key, generated)
+                Err(key) => {
+                    let generated = self.miss(src, shape, tree, trace)?;
+                    self.repo.insert_shape(shape.ids, key, generated)
                 }
             }
         } else {
             // The reuse ablation keeps no repository: every tuple misses.
-            Arc::new(self.generate(tx, trace))
+            let generated = self.miss(src, shape, tree, trace)?;
+            Arc::new(ResolvedScript::new(generated, Some(self.target.schema())))
         };
         self.report.tuples_processed += 1;
-        self.report.tg += started.elapsed();
 
-        let t1 = Instant::now();
+        // One clock read ends Tg and starts Te, one ends Te; the script
+        // run's phase is timed by the same two.
+        let ran = Instant::now();
+        self.report.tg += ran - *clock;
         let mut out = RunOutcome::default();
         if !script.is_empty() {
-            let sr = trace.start();
-            out = run_script(
-                &script,
-                &slot_values(tx),
-                &mut self.target,
-                &mut self.fresh_counter,
-            )?;
-            trace.end(Phase::ScriptRun, sr);
+            out = script.run(shape.slots, &mut self.target, &mut self.fresh_counter)?;
+        }
+        let done = Instant::now();
+        self.report.te += done - ran;
+        *clock = done;
+        if !script.is_empty() {
+            trace.span(Phase::ScriptRun, ran, done);
             trace.outcome(&out);
         }
-        self.report.te += t1.elapsed();
         self.report.inserted += out.inserted;
         self.report.merged += out.merged;
         self.report.violations += out.violations;
         Ok(out)
+    }
+
+    /// Generate the script of a walked row from its tuple tree, built here
+    /// unless the caller has it.
+    fn miss<'a>(
+        &mut self,
+        src: &'a Instance,
+        shape: &Shape<'_, 'a>,
+        tree: Option<&TupleTree<'a>>,
+        trace: &mut Trace,
+    ) -> Result<Script, StorageError> {
+        let tx = match tree {
+            Some(tx) => Cow::Borrowed(tx),
+            None => Cow::Owned(self.tuple_tree(src, shape.relation, shape.row)?),
+        };
+        Ok(self.generate(&tx, trace))
     }
 
     /// The miss path: Match → translate (Alg. 1) → generate (Alg. 2). An
@@ -216,34 +285,40 @@ impl Pipeline {
     }
 
     /// One pass over the unseen rows of `src`: relations in processing
-    /// order, `batch_size` rows a batch. A batch's trees are built together
-    /// (one TreeBuild phase), then stepped in row order. The time since
-    /// `started` (the caller's set-up) is charged to Tg.
+    /// order, `batch_size` rows a batch. A batch's rows are walked together
+    /// into flat buffers (one TreeBuild phase), then stepped in row order. The time since `started` (the caller's set-up) is charged to
+    /// Tg.
     pub(crate) fn pass(
         &mut self,
         src: &Instance,
         started: Instant,
         trace: &mut Trace,
     ) -> Result<RunOutcome, StorageError> {
-        let order = self.order(src)?;
+        let order = self.order(src)?.to_vec();
         self.report.tg += started.elapsed();
         let mut total = RunOutcome::default();
-        for rel in &order {
-            let rows = src.relation_or_err(rel)?.len() as RowId;
+        for rel in order {
+            let rows = src.relation_at(rel).len() as RowId;
             let mut start = 0;
             while start < rows {
                 let end = (start + self.config.batch_size as RowId).min(rows);
                 let built = Instant::now();
                 let tb = trace.start();
-                let todo: Vec<RowId> = (start..end).filter(|&r| !self.skip_seen(rel, r)).collect();
-                let trees = todo
-                    .into_iter()
-                    .map(|r| tuple_tree(src, rel, r, &self.tree_cfg).map(|t| (r, t)))
-                    .collect::<Result<Vec<_>, _>>()?;
+                // Fresh buffers per batch: kept across batches, they would
+                // leave one large free block behind the pass, which later
+                // small allocations split and coalesce again (a session
+                // OPEN after an exchange measured ~5 % slower).
+                let mut shapes = Shapes::default();
+                for row in start..end {
+                    if !self.skip_seen(rel, row) {
+                        self.walk(src, rel, row, &mut shapes)?;
+                    }
+                }
                 trace.end(Phase::TreeBuild, tb);
-                self.report.tg += built.elapsed();
-                for (row, tx) in trees {
-                    total += self.step(rel, row, &tx, Instant::now(), trace)?;
+                let mut clock = Instant::now();
+                self.report.tg += clock - built;
+                for i in 0..shapes.len() {
+                    total += self.step(src, &shapes.get(i), None, &mut clock, trace)?;
                 }
                 start = end;
             }
@@ -311,7 +386,14 @@ impl Pipeline {
     }
 }
 
-/// An empty repository with the configured hit-event recording.
-fn repository(config: &SedexConfig) -> ScriptRepository {
+/// `src`'s shape catalog, compiled into `slot` at the first call.
+fn catalog<'c>(slot: &'c mut Option<ShapeCatalog>, src: &Instance) -> &'c ShapeCatalog {
+    slot.get_or_insert_with(|| ShapeCatalog::new(src.schema()))
+}
+
+/// An empty repository with the configured hit-event recording, resolving
+/// scripts against `target`'s schema.
+fn repository(config: &SedexConfig, target: &Instance) -> ScriptRepository {
     ScriptRepository::with_event_limit(config.record_hit_events, config.hit_event_limit)
+        .resolving_against(target.shared_schema())
 }

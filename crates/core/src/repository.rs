@@ -7,6 +7,14 @@
 //! lookup with a timestamp so the hit-ratio curve of Fig. 14 can be
 //! reproduced.
 //!
+//! Keys are the `String`s [`sedex_treerep::repository_key`] writes; they
+//! are what exports, snapshots and the WAL persist. The engine looks a
+//! tuple up by its shape *ids* instead ([`sedex_treerep::ShapeCatalog`]):
+//! an id-keyed index sits in front of the `String` map and memoises every
+//! `String` entry an id lookup reached, so a hit renders and hashes no
+//! string. Entries are stored as [`ResolvedScript`]s, resolved against the
+//! target schema as they come in.
+//!
 //! Two long-lived-service concerns are handled here rather than in callers:
 //!
 //! * **Warm-start timeline**: exports carry the elapsed lookup-timeline
@@ -22,8 +30,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use sedex_storage::Schema;
+
 use crate::metrics::HitEvent;
-use crate::script::Script;
+use crate::script::{ResolvedScript, Script};
 
 /// Default cap on the recorded hit-event buffer (one event is 17 bytes, so
 /// this bounds the log at roughly 16 MiB between drains).
@@ -32,7 +42,13 @@ pub const DEFAULT_EVENT_LIMIT: usize = 1 << 20;
 /// Shape-keyed script cache with hit/miss accounting.
 #[derive(Debug)]
 pub struct ScriptRepository {
-    map: HashMap<String, Arc<Script>>,
+    map: HashMap<String, Arc<ResolvedScript>>,
+    /// Shape ids → an entry of `map`. Ids are valid for one catalog, i.e.
+    /// one repository owner; cleared whenever an entry of `map` is
+    /// replaced, so it never serves a stale script.
+    by_shape: HashMap<Box<[u32]>, Arc<ResolvedScript>>,
+    /// The schema scripts are resolved against as they come in.
+    target: Option<Arc<Schema>>,
     hits: usize,
     misses: usize,
     start: Instant,
@@ -84,6 +100,8 @@ impl ScriptRepository {
     pub fn with_event_limit(record_events: bool, event_limit: usize) -> Self {
         ScriptRepository {
             map: HashMap::new(),
+            by_shape: HashMap::new(),
+            target: None,
             hits: 0,
             misses: 0,
             start: Instant::now(),
@@ -102,40 +120,98 @@ impl ScriptRepository {
         self.base_elapsed + self.start.elapsed()
     }
 
+    /// Resolve every script that comes in from now on against `target`.
+    pub(crate) fn resolving_against(mut self, target: Arc<Schema>) -> Self {
+        self.target = Some(target);
+        self
+    }
+
     /// Look a shape key up, recording a hit or a miss.
-    pub fn lookup(&mut self, key: &str) -> Option<Arc<Script>> {
+    pub fn lookup(&mut self, key: &str) -> Option<Arc<ResolvedScript>> {
         let found = self.map.get(key).cloned();
-        match &found {
-            Some(_) => self.hits += 1,
-            None => self.misses += 1,
+        self.record(found.is_some());
+        found
+    }
+
+    /// Look a shape up by its ids, recording one hit or one miss. When the
+    /// ids are not indexed yet, the `String` key `key` renders is looked
+    /// up (entries arrive under it through import, install and insert)
+    /// and a hit is indexed under the ids. A miss hands back the rendered
+    /// key, for [`ScriptRepository::insert_shape`].
+    pub fn lookup_shape(
+        &mut self,
+        ids: &[u32],
+        key: impl FnOnce() -> String,
+    ) -> Result<Arc<ResolvedScript>, String> {
+        let found = match self.by_shape.get(ids) {
+            Some(s) => Ok(Arc::clone(s)),
+            None => {
+                let key = key();
+                match self.map.get(&key) {
+                    Some(s) => {
+                        self.by_shape.insert(ids.into(), Arc::clone(s));
+                        Ok(Arc::clone(s))
+                    }
+                    None => Err(key),
+                }
+            }
+        };
+        self.record(found.is_ok());
+        found
+    }
+
+    fn record(&mut self, hit: bool) {
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
         if self.record_events {
             if self.events.len() < self.event_limit {
                 self.events.push(HitEvent {
                     at: self.elapsed(),
-                    hit: found.is_some(),
+                    hit,
                 });
             } else {
                 self.events_dropped += 1;
             }
         }
-        found
     }
 
     /// Store a freshly generated script under its shape key. The key is
     /// remembered as *new* until the next [`ScriptRepository::take_new_scripts`]
     /// drain — how the service knows which scripts still need a WAL record.
-    pub fn insert(&mut self, key: String, script: Script) -> Arc<Script> {
-        let arc = Arc::new(script);
+    pub fn insert(&mut self, key: String, script: Script) -> Arc<ResolvedScript> {
+        let arc = Arc::new(ResolvedScript::new(script, self.target.as_deref()));
         self.new_keys.push(key.clone());
-        self.map.insert(key, Arc::clone(&arc));
+        self.put(key, Arc::clone(&arc));
         arc
+    }
+
+    /// [`ScriptRepository::insert`], also indexed under the shape's ids.
+    pub fn insert_shape(
+        &mut self,
+        ids: &[u32],
+        key: String,
+        script: Script,
+    ) -> Arc<ResolvedScript> {
+        let arc = self.insert(key, script);
+        self.by_shape.insert(ids.into(), Arc::clone(&arc));
+        arc
+    }
+
+    /// Store an entry; replacing one drops the id index, which may point
+    /// at the old script.
+    fn put(&mut self, key: String, script: Arc<ResolvedScript>) {
+        if self.map.insert(key, script).is_some() {
+            self.by_shape.clear();
+        }
     }
 
     /// Drain the scripts inserted since the last drain, as `(key, script)`
     /// handles. Used by durability: after an exchange, each drained pair
     /// becomes one `ScriptAdd` WAL record.
-    pub fn take_new_scripts(&mut self) -> Vec<(String, Arc<Script>)> {
+    pub fn take_new_scripts(&mut self) -> Vec<(String, Arc<ResolvedScript>)> {
         std::mem::take(&mut self.new_keys)
             .into_iter()
             .filter_map(|k| self.map.get(&k).map(|s| (k, Arc::clone(s))))
@@ -148,7 +224,7 @@ impl ScriptRepository {
         let mut entries: Vec<(String, Script)> = self
             .map
             .iter()
-            .map(|(k, s)| (k.clone(), Script::clone(s)))
+            .map(|(k, s)| (k.clone(), s.script().clone()))
             .collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         RepositoryExport {
@@ -166,7 +242,7 @@ impl ScriptRepository {
     /// timestamps stay monotone across a snapshot/restore cycle.
     pub fn import(&mut self, export: RepositoryExport) {
         for (key, script) in export.entries {
-            self.map.insert(key, Arc::new(script));
+            self.install(key, script);
         }
         self.hits = export.hits;
         self.misses = export.misses;
@@ -178,7 +254,8 @@ impl ScriptRepository {
     /// Install one script without touching counters or the new-key log —
     /// the WAL-replay path for `ScriptAdd` records.
     pub fn install(&mut self, key: String, script: Script) {
-        self.map.insert(key, Arc::new(script));
+        let script = ResolvedScript::new(script, self.target.as_deref());
+        self.put(key, Arc::new(script));
     }
 
     /// Number of distinct scripts stored.
@@ -346,6 +423,45 @@ mod tests {
         assert!(back.elapsed() >= exported_elapsed);
         back.lookup("k");
         assert!(back.events()[0].at >= exported_elapsed);
+    }
+
+    #[test]
+    fn shape_lookup_falls_back_to_the_string_key_and_indexes_the_hit() {
+        let mut r = ScriptRepository::new(false);
+        r.install("k".into(), dummy_script("T"));
+        let mut renders = 0;
+        let mut key = || {
+            renders += 1;
+            "k".to_owned()
+        };
+        // First lookup: not indexed, found under the rendered key.
+        assert_eq!(
+            r.lookup_shape(&[1, 2], &mut key).unwrap().statements[0].relation,
+            "T"
+        );
+        // Second: indexed, nothing rendered.
+        assert!(r.lookup_shape(&[1, 2], &mut key).is_ok());
+        assert_eq!(renders, 1);
+        // A miss hands back the key; inserting indexes it.
+        let miss = r.lookup_shape(&[3], || "m".to_owned()).unwrap_err();
+        assert_eq!(miss, "m");
+        r.insert_shape(&[3], miss, dummy_script("U"));
+        assert_eq!(
+            r.lookup_shape(&[3], || unreachable!()).unwrap().statements[0].relation,
+            "U"
+        );
+        assert_eq!((r.hits(), r.misses()), (3, 1));
+        assert_eq!(r.export().entries.len(), 2);
+    }
+
+    #[test]
+    fn replacing_an_entry_drops_the_shape_index() {
+        let mut r = ScriptRepository::new(false);
+        r.install("k".into(), dummy_script("T"));
+        assert!(r.lookup_shape(&[1], || "k".to_owned()).is_ok());
+        r.install("k".into(), dummy_script("U"));
+        let s = r.lookup_shape(&[1], || "k".to_owned()).unwrap();
+        assert_eq!(s.statements[0].relation, "U");
     }
 
     #[test]

@@ -117,16 +117,21 @@ impl FreshLabels {
 }
 
 /// Resolve one statement against the target schema: the relation's schema
-/// position (its [`Instance::insert_at`] index) and the tuple to insert —
-/// assigned slot values cloned (a reference-count bump for text),
-/// surrogates labeled by `label`, every other column an SQL null.
+/// position (its [`Instance::insert_at`] index; `at`, when resolved
+/// before, else looked up by name) and the tuple to insert — assigned slot
+/// values cloned (a reference-count bump for text), surrogates labeled by
+/// `label`, every other column an SQL null.
 fn statement_tuple(
     st: &Statement,
+    at: Option<usize>,
     schema: &Schema,
     values: &[&Value],
     mut label: impl FnMut(u32) -> u64,
 ) -> Result<(usize, Tuple), StorageError> {
-    let idx = schema.relation_index_or_err(&st.relation)?;
+    let idx = match at {
+        Some(idx) => idx,
+        None => schema.relation_index_or_err(&st.relation)?,
+    };
     let mut vals = vec![Value::Null; schema.relations()[idx].arity()];
     for &(col, slot) in &st.assignments {
         vals[col] = match slot {
@@ -152,15 +157,84 @@ pub fn run_script(
     target: &mut Instance,
     fresh_counter: &mut u64,
 ) -> Result<RunOutcome, StorageError> {
+    run_statements(
+        script.statements.iter().map(|st| (st, None)),
+        values,
+        target,
+        fresh_counter,
+    )
+}
+
+/// Run statements, each with its resolved relation position if it has one.
+fn run_statements<'s>(
+    statements: impl Iterator<Item = (&'s Statement, Option<usize>)>,
+    values: &[&Value],
+    target: &mut Instance,
+    fresh_counter: &mut u64,
+) -> Result<RunOutcome, StorageError> {
     let mut out = RunOutcome::default();
     let mut fresh = FreshLabels::default();
-    for st in &script.statements {
-        let (idx, tuple) = statement_tuple(st, target.schema(), values, |id| {
+    for (st, at) in statements {
+        let (idx, tuple) = statement_tuple(st, at, target.schema(), values, |id| {
             fresh.get_or_mint(id, fresh_counter)
         })?;
         out.record(target.insert_at(idx, tuple, ConflictPolicy::Merge))?;
     }
     Ok(out)
+}
+
+/// A [`Script`] whose statements' target relations were resolved to schema
+/// positions once, when it entered the script repository: a replay probes
+/// no relation name. A statement left unresolved (no schema given, or a
+/// relation the schema lacks) is looked up by name when it runs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResolvedScript {
+    script: Script,
+    relations: Box<[Option<usize>]>,
+}
+
+impl ResolvedScript {
+    /// Resolve `script` against `target`, the schema it will run on.
+    pub fn new(script: Script, target: Option<&Schema>) -> Self {
+        let relations = script
+            .statements
+            .iter()
+            .map(|st| target.and_then(|s| s.relation_index(&st.relation)))
+            .collect();
+        ResolvedScript { script, relations }
+    }
+
+    /// The script as generated.
+    pub fn script(&self) -> &Script {
+        &self.script
+    }
+
+    /// [`run_script`] with the resolved positions. `target` must have the
+    /// schema the script was resolved against.
+    pub fn run(
+        &self,
+        values: &[&Value],
+        target: &mut Instance,
+        fresh_counter: &mut u64,
+    ) -> Result<RunOutcome, StorageError> {
+        run_statements(
+            self.script
+                .statements
+                .iter()
+                .zip(self.relations.iter().copied()),
+            values,
+            target,
+            fresh_counter,
+        )
+    }
+}
+
+impl std::ops::Deref for ResolvedScript {
+    type Target = Script;
+
+    fn deref(&self) -> &Script {
+        &self.script
+    }
 }
 
 #[cfg(test)]
@@ -259,6 +333,22 @@ mod tests {
             t.relation("Stu").unwrap().row(0).unwrap().values()[1],
             Value::Null
         );
+    }
+
+    #[test]
+    fn resolved_script_runs_like_the_script() {
+        let slots = ["s1", "p1", "c1", "d1"].map(Value::text);
+        let slots: Vec<&Value> = slots.iter().collect();
+        let (mut a, mut b, mut c) = (target(), target(), target());
+        let resolved = ResolvedScript::new(demo_script(), Some(a.schema()));
+        let unresolved = ResolvedScript::new(demo_script(), None);
+        let want = run_script(&demo_script(), &slots, &mut a, &mut 0).unwrap();
+        assert_eq!(resolved.run(&slots, &mut b, &mut 0).unwrap(), want);
+        assert_eq!(unresolved.run(&slots, &mut c, &mut 0).unwrap(), want);
+        for (name, rel) in a.relations() {
+            assert_eq!(rel.rows(), b.relation(name).unwrap().rows());
+            assert_eq!(rel.rows(), c.relation(name).unwrap().rows());
+        }
     }
 
     #[test]

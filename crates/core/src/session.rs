@@ -26,14 +26,14 @@ use sedex_mapping::Correspondences;
 use sedex_observe::{Observer, Phase};
 use sedex_storage::relation::RowId;
 use sedex_storage::{ConflictPolicy, Instance, InstanceSnapshot, Schema, StorageError, Tuple};
-use sedex_treerep::tuple_tree;
+use sedex_treerep::Shapes;
 
 use crate::cfd::CfdInterpreter;
 use crate::engine::SedexConfig;
 use crate::metrics::ExchangeReport;
 use crate::pipeline::Pipeline;
 use crate::repository::RepositoryExport;
-use crate::script::{RunOutcome, Script};
+use crate::script::{ResolvedScript, RunOutcome, Script};
 
 /// Everything mutable in a [`SedexSession`], detached from the engine
 /// machinery (matchers, forests, config), which is rebuilt from the scenario
@@ -99,6 +99,8 @@ pub struct SedexSession {
     cfds: CfdInterpreter,
     source: Instance,
     pipeline: Pipeline,
+    /// A PUSH's walk buffers, kept between PUSHes.
+    shapes: Shapes<'static>,
     observer: Option<Arc<dyn Observer>>,
     /// Session name attributed in slow-exchange records (multi-tenant
     /// service deployments); `None` for anonymous embedded use.
@@ -122,6 +124,7 @@ impl SedexSession {
             cfds: CfdInterpreter::new(),
             source,
             pipeline,
+            shapes: Shapes::default(),
             observer: None,
             label: None,
             verb: None,
@@ -188,25 +191,28 @@ impl SedexSession {
         tuple: Tuple,
     ) -> Result<RunOutcome, StorageError> {
         let row = self.feed(relation, tuple)?;
-        if self.pipeline.skip_seen(relation, row) {
+        let rel = self.source.schema().relation_index_or_err(relation)?;
+        if self.pipeline.skip_seen(rel, row) {
             return Ok(RunOutcome::default());
         }
         let mut trace = self
             .pipeline
             .begin(self.observer.as_deref())
             .with_context(self.label.as_deref(), self.verb);
-        let started = Instant::now();
+        let mut clock = Instant::now();
         if !self.cfds.is_empty() {
             // CFDs are instance-level: the whole source is brought up to
-            // date before the arriving tuple's tree is built.
+            // date before the arriving tuple is walked.
             self.cfds.apply(&mut self.source)?;
         }
         let tb = trace.start();
-        let tx = tuple_tree(&self.source, relation, row, &self.pipeline.tree_cfg)?;
+        let mut shapes = std::mem::take(&mut self.shapes).recycle();
+        self.pipeline.walk(&self.source, rel, row, &mut shapes)?;
         trace.end(Phase::TreeBuild, tb);
         let out = self
             .pipeline
-            .step(relation, row, &tx, started, &mut trace)?;
+            .step(&self.source, &shapes.get(0), None, &mut clock, &mut trace)?;
+        self.shapes = shapes.recycle();
         self.pipeline.close(&trace);
         Ok(out)
     }
@@ -301,7 +307,7 @@ impl SedexSession {
     /// Drain scripts generated since the last drain (see
     /// [`crate::ScriptRepository::take_new_scripts`]) — the service
     /// persists each as one WAL record.
-    pub fn take_new_scripts(&mut self) -> Vec<(String, Arc<Script>)> {
+    pub fn take_new_scripts(&mut self) -> Vec<(String, Arc<ResolvedScript>)> {
         self.pipeline.repo.take_new_scripts()
     }
 
@@ -642,6 +648,65 @@ mod tests {
         assert_eq!(r.scripts_generated, 1);
         assert_eq!(r.scripts_reused, 10);
         assert!(restored.repository_hit_ratio() > 0.9);
+    }
+
+    /// WAL replay installs a script under its persisted `String` key
+    /// (`install_script`, the `ScriptAdd` path); a same-shape PUSH after it
+    /// must find the script through the shape-id index's fallback to the
+    /// `String` map — a hit, as in a session that never stopped, not a
+    /// regeneration.
+    #[test]
+    fn installed_script_is_reused_by_a_same_shape_push() {
+        let (src_schema, tgt_schema, sigma) = schemas();
+        let open = || {
+            SedexSession::new(
+                SedexConfig::default(),
+                src_schema.clone(),
+                tgt_schema.clone(),
+                sigma.clone(),
+            )
+            .unwrap()
+        };
+        let dep = || sedex_storage::tuple!["d1", "b1"];
+        let lookups = |s: &SedexSession| {
+            let r = s.export_state().repository;
+            (r.hits, r.misses)
+        };
+
+        // The uninterrupted session: s1 generates the script, s2 reuses it.
+        let mut live = open();
+        live.feed("Dep", dep()).unwrap();
+        live.exchange_tuple("Student", sedex_storage::tuple!["s1", "p1", "d1"])
+            .unwrap();
+        let scripts = live.take_new_scripts();
+        let before = lookups(&live);
+        live.exchange_tuple("Student", sedex_storage::tuple!["s2", "p2", "d1"])
+            .unwrap();
+        let after = lookups(&live);
+        // The persisted key is the tree's repository key, byte for byte.
+        assert_eq!(scripts.len(), 1);
+        assert_eq!(scripts[0].0, "Student|program building dep sname");
+
+        // A restarted session gets the script back by replay, then s2.
+        let mut warm = open();
+        warm.feed("Dep", dep()).unwrap();
+        for (key, script) in scripts {
+            warm.install_script(key, script.script().clone());
+        }
+        warm.exchange_tuple("Student", sedex_storage::tuple!["s2", "p2", "d1"])
+            .unwrap();
+        let r = warm.report_snapshot();
+        assert_eq!(r.scripts_generated, 0);
+        assert_eq!(r.scripts_reused, 1);
+        assert_eq!(
+            lookups(&warm),
+            (after.0 - before.0, after.1 - before.1),
+            "the push counts as in the uninterrupted session"
+        );
+        assert_eq!(
+            warm.target().relation("Stu").unwrap().row(0),
+            live.target().relation("Stu").unwrap().row(1)
+        );
     }
 
     #[test]

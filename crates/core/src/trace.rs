@@ -61,11 +61,24 @@ impl<'a> Trace<'a> {
     #[inline]
     pub fn end(&mut self, phase: Phase, started: Option<Instant>) {
         if let Some(t) = started {
-            let nanos = t.elapsed().as_nanos() as u64;
-            self.totals.add(phase, nanos);
-            if let Some(o) = self.obs {
-                o.event(&Event::Phase { phase, nanos });
-            }
+            self.add(phase, t.elapsed());
+        }
+    }
+
+    /// A phase that ran from `from` to `to`, timed by clock reads the
+    /// caller made anyway; a no-op when tracing is off.
+    #[inline]
+    pub fn span(&mut self, phase: Phase, from: Instant, to: Instant) {
+        if self.timing {
+            self.add(phase, to - from);
+        }
+    }
+
+    fn add(&mut self, phase: Phase, took: Duration) {
+        let nanos = took.as_nanos() as u64;
+        self.totals.add(phase, nanos);
+        if let Some(o) = self.obs {
+            o.event(&Event::Phase { phase, nanos });
         }
     }
 

@@ -17,7 +17,7 @@ use sedex_mapping::Correspondences;
 use sedex_pqgram::{PqLabel, Tree};
 use sedex_storage::Value;
 use sedex_treerep::relation_tree::NodeMeta;
-use sedex_treerep::{RelationTree, TupleTree};
+use sedex_treerep::{RelationTree, TupleTree, NULL_SLOT};
 
 use crate::script::SlotRef;
 
@@ -258,15 +258,14 @@ fn find_source(
 /// The preorder value vector of a source tuple tree — the substitution data
 /// a reused script consumes, borrowed from the tree's instance (a script
 /// run clones only the values its statements assign). Dummy nodes
-/// contribute an SQL null placeholder (never referenced by any slot).
+/// contribute [`NULL_SLOT`] (never referenced by any slot).
 pub fn slot_values<'a>(tx: &TupleTree<'a>) -> Vec<&'a Value> {
-    static NULL: Value = Value::Null;
     // Tuple-tree node ids are preorder indexes: arena order is slot order.
     tx.tree
         .labels()
         .map(|(_, l)| match l {
             PqLabel::Label(n) => n.value,
-            PqLabel::Dummy => &NULL,
+            PqLabel::Dummy => &NULL_SLOT,
         })
         .collect()
 }

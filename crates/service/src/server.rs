@@ -1869,7 +1869,7 @@ fn log_new_scripts(shared: &Shared, session: &str, t: &mut Tenant) {
             WalRecord::ScriptAdd {
                 session: session.to_owned(),
                 key,
-                script: (*script).clone(),
+                script: script.script().clone(),
             },
         );
     }

@@ -96,6 +96,12 @@ impl Instance {
         &self.schema
     }
 
+    /// The schema as a shared handle, for a caller that keeps it beyond a
+    /// borrow of the instance.
+    pub fn shared_schema(&self) -> Arc<Schema> {
+        Arc::clone(&self.schema)
+    }
+
     /// The mutation epoch: bumped by every mutating accessor. Readers use
     /// it to tell snapshots apart without comparing data.
     pub fn epoch(&self) -> u64 {
@@ -128,6 +134,13 @@ impl Instance {
     /// The instance of the named relation, erroring when missing.
     pub fn relation_or_err(&self, name: &str) -> Result<&RelationInstance> {
         Ok(&self.relations[self.schema.relation_index_or_err(name)?])
+    }
+
+    /// The relation at schema position `idx` (see [`Schema::relation_index`])
+    /// — [`Instance::relation`] without the name lookup. Panics when out of
+    /// range.
+    pub fn relation_at(&self, idx: usize) -> &RelationInstance {
+        &self.relations[idx]
     }
 
     /// Mutable access to the named relation instance (bumps the epoch).
@@ -225,7 +238,20 @@ impl Instance {
         fk: &ForeignKey,
         tuple: &Tuple,
     ) -> Option<(&RelationInstance, crate::relation::RowId)> {
-        let target = self.relation(&fk.ref_relation)?;
+        let target = self.schema.relation_index(&fk.ref_relation)?;
+        self.follow_fk_at(target, fk, tuple)
+    }
+
+    /// [`Instance::follow_fk`] for a caller that resolved `fk`'s referenced
+    /// relation to its schema position `target` once. Panics when out of
+    /// range.
+    pub fn follow_fk_at(
+        &self,
+        target: usize,
+        fk: &ForeignKey,
+        tuple: &Tuple,
+    ) -> Option<(&RelationInstance, crate::relation::RowId)> {
+        let target = &self.relations[target];
         let id = target.find_referenced(&fk.ref_columns, tuple, &fk.columns)?;
         Some((target, id))
     }

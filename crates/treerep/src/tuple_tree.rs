@@ -9,11 +9,12 @@
 
 use std::fmt;
 
-use sedex_pqgram::{PqLabel, Tree};
+use sedex_pqgram::{NodeId, PqLabel, Tree};
 use sedex_storage::relation::RowId;
-use sedex_storage::{Instance, RelationSchema, StorageError, Tuple, Value};
+use sedex_storage::{Instance, StorageError, Tuple, Value};
 
 use crate::relation_tree::TreeConfig;
+use crate::walk::{walk, Links, Node, Sink};
 
 /// A node of a tuple tree: a `(property : value)` pair, borrowed from the
 /// instance the tree was built from.
@@ -102,105 +103,77 @@ pub fn tuple_tree_of<'a>(
     tuple: &'a Tuple,
     config: &TreeConfig,
 ) -> Result<TupleTree<'a>, StorageError> {
-    let schema = instance.schema().relation_or_err(relation)?;
-    let relation = schema.name.as_str();
-    let root_key = schema.single_column_key();
-    let label = |i: usize| PqLabel::Label(node(schema, tuple, i));
-    let mut ctx = BuildCtx {
+    let rel = instance.schema().relation_index_or_err(relation)?;
+    let links = Links::new(instance.schema());
+    Ok(build(&links, instance, config, rel, row, tuple))
+}
+
+/// The tree of one walk: [`walk`] with a tree-building sink.
+pub(crate) fn build<'a>(
+    links: &Links,
+    instance: &'a Instance,
+    config: &TreeConfig,
+    rel: usize,
+    row: RowId,
+    tuple: &'a Tuple,
+) -> TupleTree<'a> {
+    let mut sink = TreeSink::default();
+    let mut visited = Vec::new();
+    walk(
+        links,
         instance,
         config,
-        tree: Tree::new(root_key.map_or(PqLabel::Dummy, label)),
-        visited: Vec::new(),
-        path: vec![(relation, row)],
-    };
-    let root = ctx.tree.root();
-    for i in 0..schema.columns.len() {
-        if root_key == Some(i) || ctx.pruned(&tuple.values()[i]) {
-            continue; // "not having a property is not a property"
-        }
-        let child = ctx.tree.add_child(root, label(i));
-        ctx.expand(schema, tuple, i, child, 2);
-    }
-    if let Some(k) = root_key {
-        ctx.expand(schema, tuple, k, root, 1);
-    }
-    Ok(TupleTree {
-        relation,
-        tree: ctx.tree,
-        visited: ctx.visited,
-    })
-}
-
-/// The node for column `i` of `tuple`, a tuple of `schema`.
-fn node<'a>(schema: &'a RelationSchema, tuple: &'a Tuple, i: usize) -> TupleNode<'a> {
-    TupleNode {
-        prop: &schema.columns[i].name,
-        value: &tuple.values()[i],
-        relation: &schema.name,
+        rel,
+        row,
+        tuple,
+        &mut visited,
+        &mut sink,
+    );
+    let relations = instance.schema().relations();
+    TupleTree {
+        relation: &relations[rel].name,
+        tree: sink.tree.expect("a walk opens its root"),
+        visited: visited
+            .into_iter()
+            .map(|(r, row)| SeenRef {
+                relation: &relations[r].name,
+                row,
+            })
+            .collect(),
     }
 }
 
-struct BuildCtx<'a, 'c> {
-    instance: &'a Instance,
-    config: &'c TreeConfig,
-    tree: Tree<PqLabel<TupleNode<'a>>>,
-    visited: Vec<SeenRef<'a>>,
-    /// The tuples from the root down to the node being expanded, for cycle
-    /// prevention.
-    path: Vec<(&'a str, RowId)>,
+/// Hangs each opened node under the innermost open one.
+#[derive(Default)]
+struct TreeSink<'a> {
+    tree: Option<Tree<PqLabel<TupleNode<'a>>>>,
+    /// The open nodes, root first.
+    open: Vec<NodeId>,
 }
 
-impl<'a> BuildCtx<'a, '_> {
-    fn pruned(&self, v: &Value) -> bool {
-        v.is_null() && self.config.prune_nulls
+impl<'a> Sink<'a> for TreeSink<'a> {
+    fn open(&mut self, n: Node<'a>) {
+        let label = n.col.map_or(PqLabel::Dummy, |c| {
+            PqLabel::Label(TupleNode {
+                prop: &n.schema.columns[c].name,
+                value: n.value,
+                relation: &n.schema.name,
+            })
+        });
+        let id = match (&mut self.tree, self.open.last()) {
+            (Some(tree), Some(&parent)) => tree.add_child(parent, label),
+            _ => {
+                let tree = Tree::new(label);
+                let root = tree.root();
+                self.tree = Some(tree);
+                root
+            }
+        };
+        self.open.push(id);
     }
 
-    /// If column `col` of `tuple` (a tuple of `schema`) starts foreign
-    /// keys, dereference them and hang the referenced tuples' non-key
-    /// properties under `node_id`.
-    fn expand(
-        &mut self,
-        schema: &'a RelationSchema,
-        tuple: &'a Tuple,
-        col: usize,
-        node_id: usize,
-        depth: usize,
-    ) {
-        if depth >= self.config.max_depth {
-            return;
-        }
-        for fk in &schema.foreign_keys {
-            if fk.columns.first() != Some(&col) {
-                continue;
-            }
-            let Some((ref_inst, ref_row)) = self.instance.follow_fk(fk, tuple) else {
-                continue; // null FK ("nonexistent") or dangling reference
-            };
-            let ref_schema = ref_inst.schema();
-            let seen = SeenRef {
-                relation: ref_schema.name.as_str(),
-                row: ref_row,
-            };
-            if self.path.contains(&(seen.relation, seen.row)) {
-                continue; // cycle in the data graph
-            }
-            if !self.visited.contains(&seen) {
-                self.visited.push(seen);
-            }
-            let ref_tuple = &ref_inst.rows()[ref_row as usize];
-            self.path.push((seen.relation, seen.row));
-            for j in 0..ref_schema.columns.len() {
-                // The referenced key is `node_id` itself.
-                if fk.ref_columns.contains(&j) || self.pruned(&ref_tuple.values()[j]) {
-                    continue;
-                }
-                let child = self
-                    .tree
-                    .add_child(node_id, PqLabel::Label(node(ref_schema, ref_tuple, j)));
-                self.expand(ref_schema, ref_tuple, j, child, depth + 1);
-            }
-            self.path.pop();
-        }
+    fn close(&mut self, _: Node<'a>) {
+        self.open.pop();
     }
 }
 

@@ -2,16 +2,19 @@
 //! resolves each statement's relation to its schema position, keeps a
 //! run's fresh labels in a scanned list and hashes each inserted tuple
 //! once; it must do exactly what the name-keyed version it replaced did.
-//! Every scenario is exchanged by the engine, then its cached scripts are replayed tuple by tuple through both versions:
-//! the per-run outcome counters and fresh-label counters must agree at
-//! every step, and all four targets must agree row by row.
+//! So must a `ResolvedScript`, whose statements were resolved once when it
+//! entered the repository — the form the engine replays.
+//! Every scenario is exchanged by the engine, then its cached scripts are
+//! replayed tuple by tuple through all three: the per-run outcome counters
+//! and fresh-label counters must agree at every step, and all targets must
+//! agree row by row.
 
 use std::collections::HashMap;
 
 use sedex::core::marking::SeenSet;
 use sedex::core::script::RunOutcome;
 use sedex::core::translate::slot_values;
-use sedex::core::{run_script, Script, SedexConfig, SedexEngine};
+use sedex::core::{run_script, ResolvedScript, Script, SedexConfig, SedexEngine};
 use sedex::mapping::Correspondences;
 use sedex::scenarios::ibench::{stb, IbenchConfig};
 use sedex::scenarios::{ambiguity, stbench, university, Scenario};
@@ -83,12 +86,17 @@ struct Replay {
 }
 
 /// Exchange `source` with the engine, then replay the cached scripts
-/// through both `run_script` versions and compare.
+/// through both `run_script` versions and `ResolvedScript::run`, and
+/// compare.
 fn check(what: &str, source: &Instance, target: &Schema, sigma: &Correspondences) -> Replay {
     let (out, report, repo) = SedexEngine::new()
         .exchange_with_repository(source, target, sigma)
         .unwrap_or_else(|e| panic!("{what}: exchange: {e}"));
     let scripts: HashMap<String, Script> = repo.entries.into_iter().collect();
+    let resolved: HashMap<&str, ResolvedScript> = scripts
+        .iter()
+        .map(|(k, s)| (k.as_str(), ResolvedScript::new(s.clone(), Some(target))))
+        .collect();
 
     // The engine's order: relations by descending tree height, tuples
     // already reached through a referencing tuple skipped.
@@ -101,7 +109,8 @@ fn check(what: &str, source: &Instance, target: &Schema, sigma: &Correspondences
     let mut seen = SeenSet::for_instance(source);
     let mut new_target = Instance::new(target.clone());
     let mut old_target = Instance::new(target.clone());
-    let (mut new_labels, mut old_labels) = (0u64, 0u64);
+    let mut resolved_target = Instance::new(target.clone());
+    let (mut new_labels, mut old_labels, mut resolved_labels) = (0u64, 0u64, 0u64);
     let mut total = RunOutcome::default();
     for rel in forest.processing_order() {
         for row in 0..source.relation(rel).unwrap().len() as u32 {
@@ -110,15 +119,24 @@ fn check(what: &str, source: &Instance, target: &Schema, sigma: &Correspondences
             }
             let tt = tuple_tree(source, rel, row, &tree_cfg).unwrap();
             seen.mark_all(&tt.visited);
-            let script = &scripts[&repository_key(&tt)];
+            let key = repository_key(&tt);
+            let script = &scripts[&key];
             let values = slot_values(&tt);
             let new = run_script(script, &values, &mut new_target, &mut new_labels).unwrap();
             let old =
                 reference::run_script(script, &values, &mut old_target, &mut old_labels).unwrap();
+            let res = resolved[key.as_str()]
+                .run(&values, &mut resolved_target, &mut resolved_labels)
+                .unwrap();
             assert_eq!(new, old, "{what}: outcome of {rel} row {row}");
+            assert_eq!(res, old, "{what}: resolved outcome of {rel} row {row}");
             assert_eq!(
                 new_labels, old_labels,
                 "{what}: fresh labels after {rel} row {row}"
+            );
+            assert_eq!(
+                resolved_labels, old_labels,
+                "{what}: resolved fresh labels after {rel} row {row}"
             );
             total += new;
         }
@@ -126,6 +144,11 @@ fn check(what: &str, source: &Instance, target: &Schema, sigma: &Correspondences
     assert_same_rows(
         &format!("{what}, new vs old run_script"),
         &new_target,
+        &old_target,
+    );
+    assert_same_rows(
+        &format!("{what}, resolved vs old run_script"),
+        &resolved_target,
         &old_target,
     );
     let ctx = format!("{what}, replay vs engine");

@@ -4,14 +4,21 @@
 //! same `visited` references in the same order, the same shape and
 //! repository keys and the same slot values — for every row of the
 //! evaluation's scenarios, under several tree configurations.
+//!
+//! The tree-free shape walk (`ShapeCatalog::walk`) must agree with the
+//! tree on the same rows: the same slot values at the same addresses, the
+//! same visited rows in the same order, and shape ids that are equal
+//! exactly when the trees' repository keys are.
+
+use std::collections::HashMap;
 
 use sedex::core::translate::slot_values;
 use sedex::scenarios::ibench::{stb, IbenchConfig};
 use sedex::scenarios::{ambiguity, stbench, university, GenRule, Scenario};
 use sedex::storage::{ConflictPolicy, Instance, RelationSchema, Schema, Value};
 use sedex::treerep::{
-    post_order_key, reduce_to_relation_tree, repository_key, tuple_shape_key, tuple_tree,
-    TreeConfig, TupleTree,
+    post_order_key, reduce_to_relation_tree, repository_key, tuple_shape_key, tuple_tree, Shape,
+    ShapeCatalog, Shapes, TreeConfig, TupleTree,
 };
 
 /// `tuple_tree` as it was first written: every node owns its
@@ -212,8 +219,25 @@ fn preorder_labels<L>(
         .collect()
 }
 
-/// Assert the borrowed and the reference `tuple_tree` agree on one row.
-fn assert_same(what: &str, inst: &Instance, rel: &str, row: u32, cfg: &TreeConfig) {
+/// Shape ids and repository keys met so far under one config, each mapped
+/// to the other: ids must be equal exactly when keys are.
+#[derive(Default)]
+struct Keys {
+    by_ids: HashMap<Vec<u32>, String>,
+    by_key: HashMap<String, Vec<u32>>,
+}
+
+/// Assert the borrowed and the reference `tuple_tree` agree on one row,
+/// and that `walk`, the row's shape walk, agrees with the tree.
+fn assert_same(
+    what: &str,
+    inst: &Instance,
+    rel: &str,
+    row: u32,
+    cfg: &TreeConfig,
+    walk: &Shape<'_, '_>,
+    keys: &mut Keys,
+) {
     let got: TupleTree<'_> = tuple_tree(inst, rel, row, cfg).unwrap();
     let want = reference::tuple_tree(inst, rel, row, cfg);
     let ctx = format!("{what}, {rel}[{row}], {cfg:?}");
@@ -252,18 +276,66 @@ fn assert_same(what: &str, inst: &Instance, rel: &str, row: u32, cfg: &TreeConfi
         reference::slot_values(&want),
         "{ctx}: slot values"
     );
+
+    // The shape walk against the tree.
+    let rel_idx = inst.schema().relation_index(rel).unwrap();
+    assert_eq!(
+        (walk.relation, walk.row),
+        (rel_idx, row),
+        "{ctx}: walked row"
+    );
+    let tree_slots = slot_values(&got);
+    assert_eq!(walk.slots.len(), tree_slots.len(), "{ctx}: walk slot count");
+    for (i, (&w, &t)) in walk.slots.iter().zip(&tree_slots).enumerate() {
+        assert!(
+            std::ptr::eq(w, t),
+            "{ctx}: walk slot {i} at another address"
+        );
+    }
+    let walk_visited: Vec<(String, u32)> = walk
+        .visited
+        .iter()
+        .map(|&(r, row)| (inst.schema().relations()[r].name.clone(), row))
+        .collect();
+    assert_eq!(walk_visited, want.visited, "{ctx}: walk visited");
+    let key = repository_key(&got);
+    let ids = walk.ids.to_vec();
+    let same_key = keys
+        .by_ids
+        .entry(ids.clone())
+        .or_insert_with(|| key.clone());
+    assert_eq!(*same_key, key, "{ctx}: equal ids {ids:?}, different keys");
+    let same_ids = keys
+        .by_key
+        .entry(key.clone())
+        .or_insert_with(|| ids.clone());
+    assert_eq!(*same_ids, ids, "{ctx}: equal key {key}, different ids");
 }
 
-/// Compare every row of every relation of `inst` under every config.
+/// Compare every row of every relation of `inst` under every config. Each
+/// config's walks go into one buffer, read back after all rows are walked.
 fn assert_all_rows(what: &str, inst: &Instance, configs: &[TreeConfig]) -> usize {
+    let catalog = ShapeCatalog::new(inst.schema());
     let mut checked = 0;
-    for rel in inst.schema().relations() {
-        let rows = inst.relation(&rel.name).map_or(0, |r| r.len()) as u32;
-        for row in 0..rows {
-            for cfg in configs {
-                assert_same(what, inst, &rel.name, row, cfg);
-                checked += 1;
+    for cfg in configs {
+        let mut shapes = Shapes::default();
+        let mut rows = Vec::new();
+        for (r, rel) in inst.schema().relations().iter().enumerate() {
+            for row in 0..inst.relation_at(r).len() as u32 {
+                catalog.walk(inst, r, row, cfg, &mut shapes).unwrap();
+                rows.push((rel.name.as_str(), row));
             }
+        }
+        let mut keys = Keys::default();
+        for (i, &(rel, row)) in rows.iter().enumerate() {
+            let walk = shapes.get(i);
+            assert_same(what, inst, rel, row, cfg, &walk, &mut keys);
+            assert_eq!(
+                catalog.repository_key(inst.schema(), walk.ids),
+                keys.by_ids[walk.ids],
+                "{what}, {rel}[{row}], {cfg:?}: key rendered from ids"
+            );
+            checked += 1;
         }
     }
     assert!(checked > 0, "{what}: no rows");
