@@ -1,7 +1,8 @@
 //! Criterion microbenches for the exchange kernels: Match (on the 3-tree
-//! university forest and on the 70-tree STB forest), the matcher build,
-//! translate, script generation, script execution (one script, and the
-//! replay of STB's 70 cached scripts into a keyed target), chase, egd
+//! university forest and on the 70-tree STB forest, where the full ranking
+//! is timed too), the matcher build, translate, script generation, script
+//! execution (one script, and the replay of STB's 70 cached scripts into a
+//! keyed target), chase, egd
 //! application, the keyed storage insert that enforces egds in place, and
 //! the two costs a served `PUSH` pays on top of the engine: snapshot
 //! publish and reply.
@@ -54,7 +55,9 @@ fn stb_with_nulls() -> Scenario {
 
 /// The miss path's `Match` against the 70-tree STB forest, one call per
 /// iteration, cycling through the distinct tuple-tree shapes of one data
-/// set of 3 tuples per relation; and the matcher build over that forest.
+/// set of 3 tuples per relation; the same shapes ranked against every
+/// tree (`rank_all`, the exhaustive scan `Match` avoids); and the matcher
+/// build over that forest.
 fn bench_match_stb(c: &mut Criterion) {
     let sc = stb_with_nulls();
     let cfg = TreeConfig::default();
@@ -78,6 +81,12 @@ fn bench_match_stb(c: &mut Criterion) {
             matcher
                 .best_match(black_box(&shapes[next]), &sc.sigma)
                 .unwrap()
+        })
+    });
+    c.bench_function("rank_all_stb", |b| {
+        b.iter(|| {
+            next = (next + 1) % shapes.len();
+            matcher.rank_all(black_box(&shapes[next]), &sc.sigma)
         })
     });
     c.bench_function("matcher_build_stb", |b| {

@@ -21,15 +21,13 @@ use sedex_pqgram::windowed::subsets;
 use sedex_pqgram::{distance_from_sizes, PqLabel, Tree};
 use sedex_treerep::{RelationTree, SchemaForest, TupleNode, TupleTree};
 
-/// Outcome of a `Match` call: the winning relation and the full ranking.
+/// Outcome of a `Match` call: the winning relation and its distance.
 #[derive(Debug, Clone)]
 pub struct MatchResult {
     /// Name of the winning target relation.
     pub relation: String,
     /// Distance to the winner.
     pub distance: f64,
-    /// All `(relation, distance)` pairs, ascending by distance.
-    pub ranking: Vec<(String, f64)>,
 }
 
 /// Label id of the dummy `*` node; real labels have ids ≥ 1.
@@ -44,7 +42,10 @@ const DUMMY: u32 = 0;
 /// the pq-gram construction requires for `q ≥ 2` — and an odd id occurs in
 /// no target gram. Each target tree is kept as its sorted gram keys (`p + q`
 /// ids per gram), its sorted label-id set and the relations it spans
-/// (needed to resolve relation-qualified correspondences).
+/// (needed to resolve relation-qualified correspondences). A posting index
+/// maps each vocabulary label to the targets containing it, so that
+/// [`Matcher::best_match`] scores only the targets a query shares a label
+/// with.
 ///
 /// [`Matcher::new`] builds plain pq-grams over sorted trees;
 /// [`Matcher::windowed`] builds windowed pq-grams, which are
@@ -59,6 +60,10 @@ pub struct Matcher {
     /// The target trees, sorted by relation name (the ranking's last
     /// tie-breaker).
     targets: Vec<Target>,
+    /// Label → target postings in CSR form: the targets containing
+    /// `vocab[i]` are `postings[offsets[i]..offsets[i + 1]]`, ascending.
+    offsets: Vec<u32>,
+    postings: Vec<u32>,
 }
 
 struct Target {
@@ -158,6 +163,8 @@ impl Matcher {
             window,
             vocab: vocab.into_iter().map(str::to_owned).collect(),
             targets: Vec::with_capacity(target_forest.trees().len()),
+            offsets: Vec::new(),
+            postings: Vec::new(),
         };
         for rt in target_forest.trees() {
             let ids: Vec<u32> = rt
@@ -180,6 +187,30 @@ impl Matcher {
             m.targets.push(target);
         }
         m.targets.sort_by(|a, b| a.relation.cmp(&b.relation));
+        // Count each label's targets and prefix-sum, so `offsets[v]` ends
+        // label `v`'s list; filling from the last target back moves it to
+        // the list's start and leaves every list ascending.
+        let mut offsets = vec![0u32; m.vocab.len() + 1];
+        for t in &m.targets {
+            for &id in &t.labels {
+                offsets[vocab_index(id)] += 1;
+            }
+        }
+        let mut total = 0;
+        for o in &mut offsets {
+            total += *o;
+            *o = total;
+        }
+        let mut postings = vec![0u32; total as usize];
+        for (ti, t) in m.targets.iter().enumerate().rev() {
+            for &id in &t.labels {
+                let end = &mut offsets[vocab_index(id)];
+                *end -= 1;
+                postings[*end as usize] = ti as u32;
+            }
+        }
+        m.offsets = offsets;
+        m.postings = postings;
         m
     }
 
@@ -190,49 +221,107 @@ impl Matcher {
     /// all-disjoint case where a root-label mismatch hides a genuine host)
     /// break by *label coverage* — how many of the tuple tree's properties
     /// can land in the candidate at all — and then by name for determinism.
+    /// The winner is the first entry of [`Matcher::rank_all`].
+    ///
+    /// Only the targets that share a label with the query are scored, and
+    /// the result is still exact. Call an id a *query id* when some node
+    /// can take it: a `Fixed` node's id, or a `PerCandidate` node's
+    /// qualified ids, unqualified ids and `otherwise`
+    /// ([`NodeLabel::for_target`] returns one of these). The *candidate
+    /// set* is every target whose labels contain a query id, read off the
+    /// posting index. A target `t` outside it has:
+    ///
+    /// - coverage 0, since coverage counts the query ids in `t.labels`;
+    /// - no shared gram. Position `p − 1` of a gram key holds its anchor.
+    ///   A query gram's anchor is a non-dummy node, so its id is a query
+    ///   id; a target gram's anchor is a label of `t`. A shared gram would
+    ///   put a query id in `t.labels`.
+    ///
+    /// So `t` scores `(distance_from_sizes(a, b, 0), 0)` for the query's
+    /// and `t`'s gram counts `a` and `b`, which is `(1.0, 0)` whenever
+    /// `a > 0`. All such targets tie, so the first of them by name stands
+    /// for all of them: it is scored along with the candidate set, and the
+    /// winner over both is the exhaustive winner. When `a = 0` (a tuple
+    /// tree of dummy nodes only) the distance depends on `b` — 0 for a
+    /// target without grams — so every target is scored.
+    ///
+    /// The size bound `(M − 2m)/(M − m)` on the distance is not used: on
+    /// STB, visiting targets in bound order still scores ~50 of 70, where
+    /// the candidate set and its stand-in are ~2.
     pub fn best_match(&self, tt: &TupleTree, sigma: &Correspondences) -> Option<MatchResult> {
-        let nodes: Vec<NodeLabel> = tt
-            .tree
-            .labels()
-            .map(|(_, l)| self.node_label(l, sigma))
-            .collect();
-        let per_candidate = nodes
+        let mut query = Query::new(self, tt, sigma);
+        let mut best: Option<(usize, (f64, usize))> = None;
+        for i in self.visit(&query.nodes) {
+            let score = query.score(&self.targets[i]);
+            if best.map_or(true, |(_, b)| rank(score, b).is_lt()) {
+                best = Some((i, score));
+            }
+        }
+        let (i, (distance, _)) = best?;
+        Some(MatchResult {
+            relation: self.targets[i].relation.clone(),
+            distance,
+        })
+    }
+
+    /// Every target's `(relation, distance)`, in [`Matcher::best_match`]'s
+    /// order: its first entry is the winner. It scores every target, so the
+    /// engine calls `best_match`; this is for tests, the worked example and
+    /// explaining a choice.
+    pub fn rank_all(&self, tt: &TupleTree, sigma: &Correspondences) -> Vec<(String, f64)> {
+        let mut query = Query::new(self, tt, sigma);
+        let mut scored: Vec<(usize, (f64, usize))> = self
+            .targets
             .iter()
-            .any(|n| matches!(n, NodeLabel::PerCandidate { .. }));
-        let k = self.p + self.q;
-        // The query's label ids and gram keys, rebuilt only when a
-        // candidate translates some node differently from the last one.
-        let mut ids: Vec<u32> = Vec::new();
-        let mut grams: Vec<u32> = Vec::new();
-        let mut scored: Vec<(usize, f64, usize)> = Vec::with_capacity(self.targets.len());
-        for (i, t) in self.targets.iter().enumerate() {
-            if ids.is_empty() || per_candidate {
-                let next: Vec<u32> = nodes.iter().map(|n| n.for_target(t)).collect();
-                if next != ids {
-                    grams = self.gram_keys(&tt.tree, &next);
-                    ids = next;
+            .enumerate()
+            .map(|(i, t)| (i, query.score(t)))
+            .collect();
+        // Stable: equal distance and coverage keep name order.
+        scored.sort_by(|a, b| rank(a.1, b.1));
+        scored
+            .into_iter()
+            .map(|(i, (d, _))| (self.targets[i].relation.clone(), d))
+            .collect()
+    }
+
+    /// The targets [`Matcher::best_match`] scores, ascending: the candidate
+    /// set of `nodes` plus the first target outside it, or every target
+    /// when no node is a real label.
+    fn visit(&self, nodes: &[NodeLabel]) -> Vec<usize> {
+        if nodes.iter().all(|n| matches!(n, NodeLabel::Fixed(DUMMY))) {
+            return (0..self.targets.len()).collect();
+        }
+        let mut out = Vec::new();
+        let mut add = |id: u32| {
+            // Odd ids and the dummy occur in no target.
+            if id != DUMMY && id % 2 == 0 {
+                let v = vocab_index(id);
+                let (from, to) = (self.offsets[v] as usize, self.offsets[v + 1] as usize);
+                out.extend(self.postings[from..to].iter().map(|&t| t as usize));
+            }
+        };
+        for n in nodes {
+            match n {
+                NodeLabel::Fixed(id) => add(*id),
+                NodeLabel::PerCandidate {
+                    qualified,
+                    unqualified,
+                    otherwise,
+                } => {
+                    qualified.iter().for_each(|&(_, id)| add(id));
+                    unqualified.iter().for_each(|&id| add(id));
+                    add(*otherwise);
                 }
             }
-            let inter = intersection(&grams, &t.grams, k);
-            let d = distance_from_sizes(grams.len() / k, t.grams.len() / k, inter);
-            let coverage = ids
-                .iter()
-                .filter(|id| t.labels.binary_search(id).is_ok())
-                .count();
-            scored.push((i, d, coverage));
         }
-        // Stable: equal distance and coverage keep name order.
-        scored.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| b.2.cmp(&a.2)));
-        let ranking: Vec<(String, f64)> = scored
-            .into_iter()
-            .map(|(i, d, _)| (self.targets[i].relation.clone(), d))
-            .collect();
-        let (relation, distance) = ranking.first()?.clone();
-        Some(MatchResult {
-            relation,
-            distance,
-            ranking,
-        })
+        out.sort_unstable();
+        out.dedup();
+        // `out[..k]` is `0..k` up to the first target outside the set.
+        let first_out = (0..out.len()).find(|&k| out[k] != k).unwrap_or(out.len());
+        if first_out < self.targets.len() {
+            out.insert(first_out, first_out);
+        }
+        out
     }
 
     /// The pq-gram parameters.
@@ -350,6 +439,71 @@ impl Matcher {
         grams.sort_unstable();
         grams.concat()
     }
+}
+
+/// A tuple tree translated for matching: its nodes' [`NodeLabel`]s and
+/// the label ids and gram keys of the last target scored, rebuilt only
+/// when a target translates some node differently from the last one.
+struct Query<'m, 'q> {
+    matcher: &'m Matcher,
+    tt: &'q TupleTree<'q>,
+    nodes: Vec<NodeLabel<'q>>,
+    per_candidate: bool,
+    ids: Vec<u32>,
+    grams: Vec<u32>,
+}
+
+impl<'m, 'q> Query<'m, 'q> {
+    fn new(matcher: &'m Matcher, tt: &'q TupleTree<'q>, sigma: &'q Correspondences) -> Self {
+        let nodes: Vec<NodeLabel> = tt
+            .tree
+            .labels()
+            .map(|(_, l)| matcher.node_label(l, sigma))
+            .collect();
+        let per_candidate = nodes
+            .iter()
+            .any(|n| matches!(n, NodeLabel::PerCandidate { .. }));
+        Query {
+            matcher,
+            tt,
+            nodes,
+            per_candidate,
+            ids: Vec::new(),
+            grams: Vec::new(),
+        }
+    }
+
+    /// The query's `(distance, coverage)` against `t`.
+    fn score(&mut self, t: &Target) -> (f64, usize) {
+        let m = self.matcher;
+        if self.ids.is_empty() || self.per_candidate {
+            let next: Vec<u32> = self.nodes.iter().map(|n| n.for_target(t)).collect();
+            if next != self.ids {
+                self.grams = m.gram_keys(&self.tt.tree, &next);
+                self.ids = next;
+            }
+        }
+        let k = m.p + m.q;
+        let inter = intersection(&self.grams, &t.grams, k);
+        let d = distance_from_sizes(self.grams.len() / k, t.grams.len() / k, inter);
+        let coverage = self
+            .ids
+            .iter()
+            .filter(|id| t.labels.binary_search(id).is_ok())
+            .count();
+        (d, coverage)
+    }
+}
+
+/// The ranking order on `(distance, coverage)` scores: nearer first, then
+/// more coverage. Equal scores are left to name order.
+fn rank(a: (f64, usize), b: (f64, usize)) -> Ordering {
+    a.0.total_cmp(&b.0).then_with(|| b.1.cmp(&a.1))
+}
+
+/// The vocabulary index of an even, non-dummy label id (see [`Matcher`]).
+fn vocab_index(id: u32) -> usize {
+    (id / 2 - 1) as usize
 }
 
 /// Bag-intersection size of two sorted gram-key lists, `k` ids per gram.
@@ -470,7 +624,8 @@ mod tests {
         let tt = tuple_tree(&inst, "Registration", 0, &TreeConfig::default()).unwrap();
         let m = matcher.best_match(&tt, &paper_sigma()).unwrap();
         assert_eq!(m.relation, "Reg");
-        let d: std::collections::HashMap<_, _> = m.ranking.iter().cloned().collect();
+        let d: std::collections::HashMap<_, _> =
+            matcher.rank_all(&tt, &paper_sigma()).into_iter().collect();
         assert!((d["Reg"] - 10.0 / 14.0).abs() < 1e-9, "Reg: {}", d["Reg"]);
         assert!((d["Stu"] - 10.0 / 13.0).abs() < 1e-9, "Stu: {}", d["Stu"]);
         assert!((d["Course"] - 1.0).abs() < 1e-9, "Course: {}", d["Course"]);
@@ -539,7 +694,71 @@ mod tests {
         let m = matcher.best_match(&tt, &sigma).unwrap();
         // A covers both id and x; B only id.
         assert_eq!(m.relation, "A");
-        assert!(m.ranking.iter().any(|(r, d)| r == "B" && *d < 1.0));
+        let ranking = matcher.rank_all(&tt, &sigma);
+        assert!(ranking.iter().any(|(r, d)| r == "B" && *d < 1.0));
+    }
+
+    /// `best_match` must agree with the first entry of `rank_all`.
+    fn assert_winner(matcher: &Matcher, tt: &TupleTree, sigma: &Correspondences, want: &str) {
+        let m = matcher.best_match(tt, sigma).unwrap();
+        let ranking = matcher.rank_all(tt, sigma);
+        assert_eq!(m.relation, want);
+        assert_eq!(
+            (&ranking[0].0, ranking[0].1.to_bits()),
+            (&m.relation, m.distance.to_bits())
+        );
+    }
+
+    /// A query that shares no label with any target scores no candidate:
+    /// the first target by name stands for all of them at distance 1.
+    #[test]
+    fn disjoint_query_returns_first_target_by_name() {
+        let s = RelationSchema::with_any_columns("S", &["x", "y"])
+            .primary_key(&["x"])
+            .unwrap();
+        let mut src = Instance::new(Schema::from_relations(vec![s]).unwrap());
+        src.insert("S", sedex_storage::tuple!["1", "v"], ConflictPolicy::Allow)
+            .unwrap();
+        let b = RelationSchema::with_any_columns("B", &["kb"]);
+        let a = RelationSchema::with_any_columns("A", &["ka", "za"]);
+        let target = Schema::from_relations(vec![b, a]).unwrap();
+        let forest = SchemaForest::new(&target, &TreeConfig::default()).unwrap();
+        let tt = tuple_tree(&src, "S", 0, &TreeConfig::default()).unwrap();
+        let sigma = Correspondences::new();
+        for matcher in [
+            Matcher::new(&forest, 2, 1),
+            Matcher::windowed(&forest, 2, 2, 3),
+        ] {
+            assert_winner(&matcher, &tt, &sigma, "A");
+            assert_eq!(matcher.best_match(&tt, &sigma).unwrap().distance, 1.0);
+        }
+    }
+
+    /// A node whose only correspondence is qualified into `B` is resolved
+    /// per candidate; its ids must still put `B` in the candidate set,
+    /// although no candidate-independent label reaches `B`.
+    #[test]
+    fn qualified_only_label_makes_its_target_a_candidate() {
+        let s = RelationSchema::with_any_columns("S", &["k"])
+            .primary_key(&["k"])
+            .unwrap();
+        let mut src = Instance::new(Schema::from_relations(vec![s]).unwrap());
+        src.insert("S", sedex_storage::tuple!["1"], ConflictPolicy::Allow)
+            .unwrap();
+        let a = RelationSchema::with_any_columns("A", &["za"])
+            .primary_key(&["za"])
+            .unwrap();
+        let b = RelationSchema::with_any_columns("B", &["kb"])
+            .primary_key(&["kb"])
+            .unwrap();
+        let target = Schema::from_relations(vec![a, b]).unwrap();
+        let forest = SchemaForest::new(&target, &TreeConfig::default()).unwrap();
+        let mut sigma = Correspondences::new();
+        sigma.add_qualified("S", "k", "B", "kb");
+        let tt = tuple_tree(&src, "S", 0, &TreeConfig::default()).unwrap();
+        let matcher = Matcher::new(&forest, 2, 1);
+        assert_winner(&matcher, &tt, &sigma, "B");
+        assert_eq!(matcher.best_match(&tt, &sigma).unwrap().distance, 0.0);
     }
 
     /// The windowed matcher agrees with the plain one at q = 1 (where the

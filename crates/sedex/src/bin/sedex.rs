@@ -536,15 +536,18 @@ fn run_exchange(file: &ScenarioFile, flags: &[String]) -> Result<(), String> {
         use sedex::core::scriptgen::generate_script;
         use sedex::core::translate::{slot_values, translate};
         use sedex::core::Matcher;
-        use sedex::treerep::{repository_key, tuple_tree, SchemaForest};
+        use sedex::treerep::{repository_key, SchemaForest, ShapeCatalog};
         let cfg = TreeConfig::default();
         let forest = SchemaForest::new(&s.target, &cfg).map_err(|e| e.to_string())?;
         let matcher = Matcher::new(&forest, 2, 1);
+        let catalog = ShapeCatalog::new(file.instance.schema());
         let mut seen_shapes = std::collections::HashSet::new();
         println!("\n-- transformation scripts (one sample per tuple shape) --");
-        for (rel, inst) in file.instance.relations() {
+        for (pos, (_, inst)) in file.instance.relations().enumerate() {
             for row in 0..inst.len() as u32 {
-                let tx = tuple_tree(&file.instance, rel, row, &cfg).map_err(|e| e.to_string())?;
+                let tx = catalog
+                    .tuple_tree(&file.instance, pos, row, &cfg)
+                    .map_err(|e| e.to_string())?;
                 let key = repository_key(&tx);
                 if !seen_shapes.insert(key.clone()) {
                     continue;

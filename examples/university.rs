@@ -34,13 +34,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let target_forest = SchemaForest::new(&scenario.target, &cfg)?;
     let matcher = Matcher::new(&target_forest, 2, 1);
     let tt = tuple_tree(&inst, "Registration", 0, &cfg)?;
-    let m = matcher
-        .best_match(&tt, &scenario.sigma)
-        .expect("non-empty target forest");
-    for (rel, d) in &m.ranking {
+    let ranking = matcher.rank_all(&tt, &scenario.sigma);
+    for (rel, d) in &ranking {
         println!("  dist(Tt, T{rel}) = {d:.2}");
     }
-    println!("  → host relation: {}", m.relation);
+    println!("  → host relation: {}", ranking[0].0);
 
     println!("\n== Section 4.4.2: script repository key ==");
     let st = tuple_tree(&inst, "Student", 0, &cfg)?;

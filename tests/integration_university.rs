@@ -26,12 +26,14 @@ fn paper_distances_reproduce() {
     let forest = SchemaForest::new(&s.target, &TreeConfig::default()).unwrap();
     let matcher = Matcher::new(&forest, 2, 1);
     let tt = tuple_tree(&inst, "Registration", 0, &TreeConfig::default()).unwrap();
-    let m = matcher.best_match(&tt, &s.sigma).unwrap();
-    let d: std::collections::HashMap<_, _> = m.ranking.iter().cloned().collect();
+    let ranking = matcher.rank_all(&tt, &s.sigma);
+    let d: std::collections::HashMap<_, _> = ranking.iter().cloned().collect();
     assert!((d["Reg"] - 10.0 / 14.0).abs() < 1e-9);
     assert!((d["Stu"] - 10.0 / 13.0).abs() < 1e-9);
     assert!((d["Course"] - 1.0).abs() < 1e-9);
-    assert_eq!(m.relation, "Reg");
+    assert_eq!(ranking[0].0, "Reg");
+    let m = matcher.best_match(&tt, &s.sigma).unwrap();
+    assert_eq!((m.relation.as_str(), m.distance), ("Reg", d["Reg"]));
 }
 
 #[test]
